@@ -14,12 +14,9 @@
 // against the cached record, and -cache-timing runs a second, warm pass
 // against the populated cache and records the cold/warm speedup.
 //
-// OBL programs execute on the register bytecode VM by default; -engine
-// interp selects the step-interpreter, and -engine-timing runs the suite
-// cold under both engines, verifies the reports are byte-identical, and
-// records both wall-clocks. -scaling reruns the suite cold at each named
-// parallelism and records the wall-clock curve; -cpuprofile writes a Go
-// CPU profile of the whole run.
+// -scaling reruns the suite cold at each named parallelism and records
+// the wall-clock curve; -cpuprofile writes a Go CPU profile of the whole
+// run.
 //
 // -sample runs the sampled-simulation tier (internal/bench.SamplingValidation):
 // each large-workload cell is simulated twice, once with interval sampling
@@ -48,8 +45,8 @@
 //	        [-perturb crossover|ramp|periodic|skew|all]
 //	        [-p N] [-csv dir] [-json path] [-speedup] [-list]
 //	        [-cache dir] [-cache-mem N] [-cache-verify] [-cache-timing]
-//	        [-engine vm|interp] [-engine-timing] [-scaling 1,2,4]
-//	        [-controller roundrobin|ucb] [-sample] [-sample-validate]
+//	        [-scaling 1,2,4] [-controller roundrobin|ucb]
+//	        [-sample] [-sample-validate]
 //	        [-policies] [-policies-validate] [-cpuprofile path]
 //
 // -perturb selects the adaptivity experiment for one or more named
@@ -72,7 +69,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/parexec"
 	"repro/internal/perturb"
 	"repro/internal/simcache"
@@ -92,9 +88,7 @@ func main() {
 	cacheMem := flag.Int("cache-mem", 0, "in-memory cache capacity in entries (default 1024; negative disables the memory tier)")
 	cacheVerify := flag.Bool("cache-verify", false, "re-simulate every cache hit and byte-compare it against the cached record; implies a warm verification pass")
 	cacheTiming := flag.Bool("cache-timing", false, "rerun the suite warm against the populated cache and record the cold/warm speedup")
-	engine := flag.String("engine", "", "execution engine: vm (default) or interp")
 	controller := flag.String("controller", "", "feedback controller for dynamic runs: roundrobin (default) or ucb")
-	engineTiming := flag.Bool("engine-timing", false, "rerun the suite cold under the other engine, record both wall-clocks, and verify the reports are byte-identical")
 	scaling := flag.String("scaling", "", "comma-separated parallelism levels (e.g. 1,2,4): rerun the suite cold at each, record the wall-clock curve, and verify the reports are byte-identical")
 	sample := flag.Bool("sample", false, "run the sampled-simulation tier (sampled and exhaustive passes per large-workload cell) and record it in the JSON document")
 	sampleValidate := flag.Bool("sample-validate", false, "implies -sample; exit nonzero unless every ground-truth metric falls inside its confidence interval")
@@ -126,7 +120,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dfbench: unknown controller %q (want %s or %s)\n", *controller, core.KindRoundRobin, core.KindUCB)
 		os.Exit(2)
 	}
-	cfg := bench.SuiteConfig{Quick: *quick, Parallelism: parexec.Workers(*par), Engine: *engine, Controller: *controller}
+	cfg := bench.SuiteConfig{Quick: *quick, Parallelism: parexec.Workers(*par), Controller: *controller}
 	var cache *simcache.Cache
 	if *cacheDir != "" || *cacheVerify || *cacheTiming {
 		// Verify and timing passes work against a memory-only cache when no
@@ -260,38 +254,6 @@ func main() {
 			cacheInfo.Stats.Puts, cacheInfo.Stats.Errors)
 	}
 
-	var engineInfo *engineJSON
-	if *engineTiming {
-		// Two cold, cache-detached passes — one per engine. Byte-identical
-		// reports are the differential gate for the bytecode VM; the two
-		// wall-clocks are the speedup evidence.
-		engineInfo = &engineJSON{}
-		for _, eng := range []string{interp.EngineVM, interp.EngineInterp} {
-			ecfg := cfg
-			ecfg.Cache, ecfg.CacheVerify = nil, false
-			ecfg.Engine = eng
-			engReports, _, ems, err := runSuite(ecfg, selected, cfg.Parallelism)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dfbench: %s engine pass: %v\n", eng, err)
-				os.Exit(1)
-			}
-			for i, rep := range reports {
-				if rep.Format() != engReports[i].Format() {
-					fmt.Fprintf(os.Stderr, "dfbench: ENGINE VIOLATION: %s differs under engine %s\n", rep.ID, eng)
-					os.Exit(1)
-				}
-			}
-			if eng == interp.EngineVM {
-				engineInfo.VMWallMS = ems
-			} else {
-				engineInfo.InterpWallMS = ems
-			}
-		}
-		engineInfo.VMSpeedup = engineInfo.InterpWallMS / engineInfo.VMWallMS
-		fmt.Printf("engine wall-clock: vm %.0f ms, interp %.0f ms; vm %.2fx faster; reports byte-identical\n",
-			engineInfo.VMWallMS, engineInfo.InterpWallMS, engineInfo.VMSpeedup)
-	}
-
 	var scalingInfo []scalePoint
 	if *scaling != "" {
 		for _, part := range strings.Split(*scaling, ",") {
@@ -365,7 +327,7 @@ func main() {
 	}
 
 	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, cfg, reports, walls, totalMS, serialMS, speedupX, failed, cacheInfo, engineInfo, scalingInfo, samplingInfo, policiesInfo); err != nil {
+		if err := writeJSON(*jsonPath, cfg, reports, walls, totalMS, serialMS, speedupX, failed, cacheInfo, scalingInfo, samplingInfo, policiesInfo); err != nil {
 			fmt.Fprintf(os.Stderr, "dfbench: json: %v\n", err)
 			os.Exit(1)
 		}
@@ -428,15 +390,6 @@ type cacheJSON struct {
 	Stats         simcache.Stats `json:"stats"`
 }
 
-// engineJSON records the -engine-timing comparison: one cold pass per
-// execution engine over the same experiments, with byte-identical reports
-// enforced before either wall-clock is trusted.
-type engineJSON struct {
-	VMWallMS     float64 `json:"vm_wall_ms"`
-	InterpWallMS float64 `json:"interp_wall_ms"`
-	VMSpeedup    float64 `json:"vm_speedup"`
-}
-
 // scalePoint is one entry of the -scaling wall-clock curve: the suite run
 // cold at a given experiment-level parallelism.
 type scalePoint struct {
@@ -449,7 +402,7 @@ type scalePoint struct {
 // results accumulate as a perf trajectory across changes.
 func writeJSON(path string, cfg bench.SuiteConfig, reports []*bench.Report, walls []float64,
 	totalMS, serialMS, speedup float64, failed int, cacheInfo *cacheJSON,
-	engineInfo *engineJSON, scalingInfo []scalePoint, samplingInfo *bench.SamplingJSON,
+	scalingInfo []scalePoint, samplingInfo *bench.SamplingJSON,
 	policiesInfo *bench.PoliciesJSON) error {
 	type expJSON struct {
 		*bench.Report
@@ -459,22 +412,16 @@ func writeJSON(path string, cfg bench.SuiteConfig, reports []*bench.Report, wall
 	for i, rep := range reports {
 		exps[i] = expJSON{Report: rep, HostWallMS: walls[i]}
 	}
-	engine := cfg.Engine
-	if engine == "" {
-		engine = interp.EngineVM
-	}
 	doc := struct {
 		GeneratedAt  string              `json:"generated_at"`
 		Quick        bool                `json:"quick"`
 		Procs        []int               `json:"procs,omitempty"`
 		HostCPUs     int                 `json:"host_cpus"`
 		Parallelism  int                 `json:"parallelism"`
-		Engine       string              `json:"engine"`
 		TotalWallMS  float64             `json:"total_wall_ms"`
 		SerialWallMS float64             `json:"serial_wall_ms,omitempty"`
 		Speedup      float64             `json:"speedup_vs_serial,omitempty"`
 		Cache        *cacheJSON          `json:"cache,omitempty"`
-		Engines      *engineJSON         `json:"engines,omitempty"`
 		Scaling      []scalePoint        `json:"scaling,omitempty"`
 		Sampling     *bench.SamplingJSON `json:"sampling,omitempty"`
 		Policies     *bench.PoliciesJSON `json:"policies,omitempty"`
@@ -486,12 +433,10 @@ func writeJSON(path string, cfg bench.SuiteConfig, reports []*bench.Report, wall
 		Procs:        cfg.Procs,
 		HostCPUs:     runtime.NumCPU(),
 		Parallelism:  cfg.Parallelism,
-		Engine:       engine,
 		TotalWallMS:  totalMS,
 		SerialWallMS: serialMS,
 		Speedup:      speedup,
 		Cache:        cacheInfo,
-		Engines:      engineInfo,
 		Scaling:      scalingInfo,
 		Sampling:     samplingInfo,
 		Policies:     policiesInfo,

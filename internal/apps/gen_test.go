@@ -43,10 +43,11 @@ func TestGeneratedVersionsCorrectness(t *testing.T) {
 	}
 }
 
-// TestChunkedVersionDeterminismAcrossEnginesAndProcs pins the byte-identity
-// guarantee for chunk-scheduled versions: both execution engines and
-// repeated runs produce identical outputs at every processor count.
-func TestChunkedVersionDeterminismAcrossEnginesAndProcs(t *testing.T) {
+// TestChunkedVersionDeterminismAcrossProcs pins the determinism guarantee
+// for chunk-scheduled versions: repeated runs produce identical outputs at
+// every processor count. Their full Results are pinned by the frozen
+// reference in internal/interp.
+func TestChunkedVersionDeterminismAcrossProcs(t *testing.T) {
 	spec := polgen.Spec{Coarsen: 2, Lift: false, Chunk: 4}
 	c, err := CompileWithSpecs(NameWater, []polgen.Spec{spec})
 	if err != nil {
@@ -55,21 +56,18 @@ func TestChunkedVersionDeterminismAcrossEnginesAndProcs(t *testing.T) {
 	params := TestParams(NameWater)
 	for _, procs := range []int{1, 3, 8} {
 		var first string
-		for _, engine := range []string{interp.EngineVM, interp.EngineInterp} {
-			for rep := 0; rep < 2; rep++ {
-				res, err := interp.Run(c.Parallel, interp.Options{
-					Procs: procs, Policy: spec.Name(), Params: params, Engine: engine,
-				})
-				if err != nil {
-					t.Fatalf("procs %d engine %s: %v", procs, engine, err)
-				}
-				out := flatten(res.Output)
-				if first == "" {
-					first = out
-				} else if out != first {
-					t.Fatalf("procs %d engine %s rep %d: output diverged:\n%s\nvs\n%s",
-						procs, engine, rep, out, first)
-				}
+		for rep := 0; rep < 2; rep++ {
+			res, err := interp.Run(c.Parallel, interp.Options{
+				Procs: procs, Policy: spec.Name(), Params: params,
+			})
+			if err != nil {
+				t.Fatalf("procs %d: %v", procs, err)
+			}
+			out := flatten(res.Output)
+			if first == "" {
+				first = out
+			} else if out != first {
+				t.Fatalf("procs %d rep %d: output diverged:\n%s\nvs\n%s", procs, rep, out, first)
 			}
 		}
 	}

@@ -195,26 +195,33 @@ func AblationEarlyCutoff(s *Suite) (*Report, error) {
 // AblationSpanning measures the §4.4 extension on a workload of many short
 // section executions, which cannot amortize a per-execution sampling phase.
 func AblationSpanning(s *Suite) (*Report, error) {
-	c, err := s.App(apps.NameBarnesHut)
-	if err != nil {
-		return nil, err
-	}
-	// Many passes over a small body set: the ADVANCEALL sections are much
-	// shorter than a sampling phase.
-	params := map[string]int64{"nbodies": 192, "listlen": 16, "interwork": 20000,
-		"npasses": 12, "serialwork": 2000}
 	// The two modes are independent simulations: fan them out.
 	results, err := parexec.Map(s.cfg.Parallelism, []bool{false, true},
 		func(_ int, span bool) (*interp.Result, error) {
-			return interp.Run(c.Parallel, interp.Options{
-				Procs: 8, Policy: interp.PolicyDynamic, Params: params,
-				TargetSampling: 2 * simmach.Millisecond, TargetProduction: 40 * simmach.Millisecond,
-				SpanExecutions: span,
-			})
+			return s.RunWith(apps.NameBarnesHut, spanAblationOpts(span))
 		})
 	if err != nil {
 		return nil, err
 	}
+	return ablationSpanReport(results[0], results[1]), nil
+}
+
+// spanAblationOpts configures one Barnes-Hut run of the spanning
+// ablation: many passes over a small body set, so the ADVANCEALL sections
+// are much shorter than a sampling phase.
+func spanAblationOpts(span bool) interp.Options {
+	return interp.Options{
+		Procs: 8, Policy: interp.PolicyDynamic,
+		Params: map[string]int64{"nbodies": 192, "listlen": 16, "interwork": 20000,
+			"npasses": 12, "serialwork": 2000},
+		TargetSampling: 2 * simmach.Millisecond, TargetProduction: 40 * simmach.Millisecond,
+		SpanExecutions: span,
+	}
+}
+
+// ablationSpanReport renders the spanning ablation from its per-execution
+// (base) and spanning (span) runs.
+func ablationSpanReport(base, span *interp.Result) *Report {
 	r := &Report{ID: "ablation-span", Title: "Intervals Spanning Section Executions (§4.4 extension)"}
 	r.Header = []string{"Mode", "Time (s)", "ADVANCEALL sampling intervals"}
 	countSampling := func(res *interp.Result) int {
@@ -230,14 +237,13 @@ func AblationSpanning(s *Suite) (*Report, error) {
 		}
 		return n
 	}
-	base, span := results[0], results[1]
 	r.Rows = append(r.Rows,
 		[]string{"per-execution sampling", fsec(base.Time), fmt.Sprintf("%d", countSampling(base))},
 		[]string{"spanning intervals", fsec(span.Time), fmt.Sprintf("%d", countSampling(span))})
 	r.check("spanning does not slow the program",
 		float64(span.Time) < 1.05*float64(base.Time),
 		"span %.3fs vs base %.3fs", span.Time.Seconds(), base.Time.Seconds())
-	return r, nil
+	return r
 }
 
 // AblationFlagDispatch compares the paper's two code-generation strategies
@@ -251,17 +257,12 @@ func AblationFlagDispatch(s *Suite) (*Report, error) {
 	// flag-dispatch): fan all of them out, then assemble rows in order.
 	jobs := make([]func() (*interp.Result, error), 0, 2*len(apps.Names))
 	for _, name := range apps.Names {
-		c, err := s.App(name)
-		if err != nil {
-			return nil, err
-		}
-		params := s.Params(name)
 		jobs = append(jobs,
 			func() (*interp.Result, error) {
-				return interp.Run(c.Parallel, interp.Options{Procs: 8, Policy: "aggressive", Params: params})
+				return s.Run(name, interp.Options{Procs: 8, Policy: "aggressive"})
 			},
 			func() (*interp.Result, error) {
-				return interp.Run(c.Flagged, interp.Options{Procs: 8, Policy: "aggressive", Params: params})
+				return s.RunFlagged(name, interp.Options{Procs: 8, Policy: "aggressive", Params: s.Params(name)})
 			})
 	}
 	results, err := parexec.Map(s.cfg.Parallelism, jobs,

@@ -48,18 +48,10 @@ type SuiteConfig struct {
 	// turning the determinism claim into a checked invariant. A mismatch
 	// is an error, not a silent fallback.
 	CacheVerify bool
-	// Engine selects the execution engine for every simulation
-	// (interp.EngineVM or interp.EngineInterp; empty uses the interp
-	// default, the VM). Both engines produce byte-identical results —
-	// dfbench -engine-timing runs the suite under each and checks it —
-	// so the engine is deliberately absent from content-addressed cache
-	// keys; it only enters the in-process memo keys so timing passes
-	// under different engines never share cells.
-	Engine string
 	// Controller selects the dynamic feedback controller for every dynamic
-	// simulation (core.KindRoundRobin, the default, or core.KindUCB).
-	// Unlike Engine, the controller changes measured results, so it is part
-	// of the content-addressed cache key (interp.CacheKey).
+	// simulation (core.KindRoundRobin, the default, or core.KindUCB). The
+	// controller changes measured results, so it is part of the
+	// content-addressed cache key (interp.CacheKey).
 	Controller string
 }
 
@@ -238,10 +230,10 @@ func (s *Suite) Params(name string) map[string]int64 {
 // simulated machine. It is safe for concurrent use; identical
 // configurations are simulated exactly once.
 func (s *Suite) Run(name string, opts interp.Options) (*interp.Result, error) {
-	key := fmt.Sprintf("%s|%d|%s|%s|%d|%d|%v%v%v%v%v|%d|%s|%s", name, opts.Procs, opts.Policy,
+	key := fmt.Sprintf("%s|%d|%s|%s|%d|%d|%v%v%v%v%v|%d|%s", name, opts.Procs, opts.Policy,
 		opts.Controller, opts.TargetSampling, opts.TargetProduction,
 		opts.EarlyCutoff, opts.OrderByHistory, opts.SpanExecutions, opts.AsyncSwitch,
-		opts.AutoTuneProduction, opts.InstrumentationCost, s.cfg.Engine, s.cfg.Controller)
+		opts.AutoTuneProduction, opts.InstrumentationCost, s.cfg.Controller)
 	return s.runs.Do(key, func() (*interp.Result, error) {
 		c, err := s.App(name)
 		if err != nil {
@@ -257,26 +249,43 @@ func (s *Suite) Run(name string, opts interp.Options) (*interp.Result, error) {
 // adaptivity experiments use it: their workloads are sized to straddle the
 // scenario's change points, independent of the Quick-scaled shared cells.
 func (s *Suite) RunWith(name string, opts interp.Options) (*interp.Result, error) {
+	return s.runWith(name, false, opts)
+}
+
+// RunFlagged is RunWith on the application's flag-dispatch build (§4.2).
+func (s *Suite) RunFlagged(name string, opts interp.Options) (*interp.Result, error) {
+	return s.runWith(name, true, opts)
+}
+
+func (s *Suite) runWith(name string, flagged bool, opts interp.Options) (*interp.Result, error) {
 	var pb strings.Builder
 	for _, k := range sortedKeys(opts.Params) {
 		fmt.Fprintf(&pb, "%s=%d,", k, opts.Params[k])
 	}
-	key := fmt.Sprintf("%s|with|%d|%s|%s|%d|%d|%v%v%v%v%v|%d|%s|%s|%s|%s", name, opts.Procs, opts.Policy,
+	build, desc := "with", name
+	if flagged {
+		build, desc = "flagged", name+" flagged"
+	}
+	key := fmt.Sprintf("%s|%s|%d|%s|%s|%d|%d|%v%v%v%v%v|%d|%s|%s|%s", name, build, opts.Procs, opts.Policy,
 		opts.Controller, opts.TargetSampling, opts.TargetProduction,
 		opts.EarlyCutoff, opts.OrderByHistory, opts.SpanExecutions, opts.AsyncSwitch,
-		opts.AutoTuneProduction, opts.InstrumentationCost, pb.String(), opts.Perturb.Key(), s.cfg.Engine, s.cfg.Controller)
+		opts.AutoTuneProduction, opts.InstrumentationCost, pb.String(), opts.Perturb.Key(), s.cfg.Controller)
 	return s.runs.Do(key, func() (*interp.Result, error) {
 		c, err := s.App(name)
 		if err != nil {
 			return nil, err
 		}
-		return s.simulate(c.Parallel, opts, fmt.Sprintf("%s %s/%d", name, opts.Policy, opts.Procs))
+		prog := c.Parallel
+		if flagged {
+			prog = c.Flagged
+		}
+		return s.simulate(prog, opts, fmt.Sprintf("%s %s/%d", desc, opts.Policy, opts.Procs))
 	})
 }
 
 // RunSerial executes the serial baseline.
 func (s *Suite) RunSerial(name string) (*interp.Result, error) {
-	return s.runs.Do(name+"|serial|"+s.cfg.Engine, func() (*interp.Result, error) {
+	return s.runs.Do(name+"|serial", func() (*interp.Result, error) {
 		c, err := s.App(name)
 		if err != nil {
 			return nil, err
@@ -341,9 +350,6 @@ func (s *Suite) execute(prog *ir.Program, opts interp.Options, desc string) (*in
 	if cap(s.sem) > 1 {
 		s.sem <- struct{}{}
 		defer func() { <-s.sem }()
-	}
-	if opts.Engine == "" {
-		opts.Engine = s.cfg.Engine
 	}
 	r, err := interp.Run(prog, opts)
 	if err != nil {

@@ -4,11 +4,12 @@ import (
 	"testing"
 )
 
-// Micro-benchmarks for the interpreter inner loop. Each one compiles a
-// small OBL program once and measures complete interp.Run calls, so the
-// numbers include the per-instruction dispatch path that dominates suite
-// wall-clock: operand-stack reuse, table-driven cost accounting, and the
-// load-time extern/method resolution caches.
+// Micro-benchmarks for the dispatch loop. Each one compiles a small OBL
+// program once and measures complete interp.Run calls (the first call,
+// outside the timed loop, compiles the bytecode), so the numbers cover
+// the per-instruction dispatch path that dominates suite wall-clock:
+// superinstructions, register-arena reuse, the call and extern paths,
+// and the lock path through the simulated machine.
 
 // benchDispatchSrc is pure register arithmetic and branching — no calls,
 // no objects — so the loop body is dispatch overhead and nothing else.

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/obl/ir"
@@ -21,18 +20,12 @@ import (
 // cached across runs (internal/simcache).
 //
 // Programs are immutable after compilation, so the fingerprint is computed
-// once per *ir.Program and memoized alongside the interpreter's other
-// load-time preparation.
+// once per *ir.Program and kept on the program (ir.Program.Derived).
 func Fingerprint(p *ir.Program) string {
-	if v, ok := fpCache.Load(p); ok {
-		return v.(string)
-	}
-	fp := computeFingerprint(p)
-	v, _ := fpCache.LoadOrStore(p, fp)
-	return v.(string)
+	return p.Derived(fingerprintKey{}, func() any { return computeFingerprint(p) }).(string)
 }
 
-var fpCache sync.Map // *ir.Program -> string
+type fingerprintKey struct{}
 
 // fpWriter streams canonical primitives into a hash. Every value is
 // length- or tag-delimited, so distinct programs cannot collide by
@@ -181,7 +174,6 @@ func sortedFPKeys[V any](m map[string]V) []string {
 // for those ok is false.
 //
 //dfvet:fingerprint Options simmach.Config
-//dfvet:fingerprint-exclude Options.Engine — both engines produce byte-identical Results by contract, so the engine choice never affects a cached outcome
 func CacheKey(p *ir.Program, opts Options) (key string, ok bool) {
 	if opts.Trace != nil {
 		return "", false

@@ -23,11 +23,9 @@ package interp
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/obl/ir"
-	"repro/internal/obl/vm"
 	"repro/internal/perturb"
 	"repro/internal/simmach"
 )
@@ -108,13 +106,6 @@ type Options struct {
 	// returns ok=false). Use internal/simsample to attach confidence
 	// intervals and validate estimates against exhaustive ground truth.
 	Sample *SampleSpec
-	// Engine selects the execution engine: EngineVM (default) compiles the
-	// program to register bytecode with profile-guided specialization and
-	// falls back to the interpreter automatically when compilation is not
-	// possible (e.g. hand-built programs without register-kind metadata);
-	// EngineInterp forces the direct IR interpreter. Both engines produce
-	// byte-identical Results, so the choice never appears in cache keys.
-	Engine string
 	// Trace, when set, receives every synchronization event of the
 	// simulated machine (lock acquires, blocks, grants, releases, barrier
 	// traffic) in virtual-time order.
@@ -154,17 +145,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxSteps <= 0 {
 		o.MaxSteps = 2e9
 	}
-	if o.Engine == "" {
-		o.Engine = EngineVM
-	}
 	return o
 }
-
-// Execution engines.
-const (
-	EngineVM     = "vm"
-	EngineInterp = "interp"
-)
 
 // ExecutionStat describes one execution of a parallel section.
 type ExecutionStat struct {
@@ -239,59 +221,13 @@ type Result struct {
 // runtimeErr aborts execution through the scheduler.
 type runtimeErr struct{ msg string }
 
-// prep is the per-Program state resolved once at load time: extern
-// implementations and per-instruction virtual-cost tables. The hot loop
-// then indexes slices instead of hashing maps or re-deriving costs from
-// the opcode switch. Programs are immutable after compilation, so the
-// prepared form is cached per *ir.Program and shared by every concurrent
-// Run (the parallel experiment engine executes many runs of the same
-// program at once).
-type prep struct {
-	// extFns[i] is the implementation of Externs[i].
-	extFns []intrinsic
-	// costs[funcID][pc] is the instruction's static virtual cost; for
-	// OpCallExtern the extern's declared cost is folded in, so the runtime
-	// only adds the dynamically-priced extra.
-	costs [][]simmach.Time
-}
-
-var prepCache sync.Map // *ir.Program -> *prep
-
-// prepare resolves (with caching) a program's load-time tables.
-func prepare(p *ir.Program) *prep {
-	if v, ok := prepCache.Load(p); ok {
-		return v.(*prep)
-	}
-	pr := &prep{
-		extFns: make([]intrinsic, len(p.Externs)),
-		costs:  make([][]simmach.Time, len(p.Funcs)),
-	}
-	for i, e := range p.Externs {
-		pr.extFns[i] = intrinsics[e.Name]
-	}
-	for fi, fn := range p.Funcs {
-		costs := make([]simmach.Time, len(fn.Code))
-		for pc, in := range fn.Code {
-			c := simmach.Time(in.Cost())
-			if in.Op == ir.OpCallExtern {
-				c += simmach.Time(p.Externs[in.Imm].Cost)
-			}
-			costs[pc] = c
-		}
-		pr.costs[fi] = costs
-	}
-	v, _ := prepCache.LoadOrStore(p, pr)
-	return v.(*prep)
-}
-
-// Run executes the program.
+// Run executes the program. The program must carry the register-kind
+// metadata lowering records (see vm.Compile); hand-built programs without
+// it are rejected with an error.
 func Run(p *ir.Program, opts Options) (res *Result, err error) {
 	opts = opts.withDefaults()
 	if err := CheckExterns(p); err != nil {
 		return nil, err
-	}
-	if opts.Engine != EngineVM && opts.Engine != EngineInterp {
-		return nil, fmt.Errorf("interp: unknown engine %q", opts.Engine)
 	}
 	if opts.Policy != PolicyDynamic {
 		for _, sec := range p.Sections {
@@ -308,11 +244,15 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 	if !core.ValidKind(opts.Controller) {
 		return nil, fmt.Errorf("interp: unknown controller kind %q", opts.Controller)
 	}
+	cp := compiledFor(p)
+	if cp.err != nil {
+		return nil, fmt.Errorf("interp: %w", cp.err)
+	}
 	mcfg := opts.Machine
 	mcfg.Procs = opts.Procs
 	rt := &runtime{
 		prog:        p,
-		prep:        prepare(p),
+		ext:         cp.ext,
 		opts:        opts,
 		m:           simmach.New(mcfg),
 		controllers: map[int]core.Ctl{},
@@ -374,14 +314,6 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 			rt.paramVals[i] = v
 		}
 	}
-	// Engine selection. The VM engine needs a successful bytecode
-	// compilation; otherwise the run silently uses the interpreter, which
-	// accepts any verified program. The first completed VM run of a
-	// program doubles as its profiling pass: its counters feed
-	// vm.Specialize, and the specialization claim is re-opened if the run
-	// fails before finishing.
-	var vmEntry *vmModEntry
-	var vmProf *vm.Profile
 	defer func() {
 		if r := recover(); r != nil {
 			if re, ok := r.(runtimeErr); ok {
@@ -390,41 +322,11 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 				panic(r)
 			}
 		}
-		if vmProf == nil {
-			return
-		}
-		if err != nil {
-			vmEntry.release()
-		} else {
-			vmEntry.finish(vmProf)
-		}
 	}()
-	usedVM := false
-	if opts.Engine == EngineVM {
-		if e := vmModuleFor(p); e.err == nil {
-			mod, prof := e.acquire()
-			if prof != nil && (opts.Sample != nil || opts.ckHook != nil) {
-				// A sampled (or checkpoint-exercised) run skips or replays
-				// iterations; its instruction counts would bias the
-				// specialization profile. Leave the profiling pass to the
-				// next exhaustive run.
-				e.release()
-				prof = nil
-			}
-			vt := &vmTask{rt: rt, mod: mod, isMain: true, prof: prof}
-			vt.sites = make([]lockSite, mod.NumLockSites)
-			vt.push(p.MainID, -1, 0)
-			rt.mainVT = vt
-			rt.m.Start(0, vt)
-			vmEntry, vmProf, usedVM = e, prof, true
-		}
-	}
-	if !usedVM {
-		main := &task{rt: rt, isMain: true}
-		main.pushCall(p.MainID, ir.NoReg)
-		rt.mainT = main
-		rt.m.Start(0, main)
-	}
+	vt := &vmTask{rt: rt, mod: cp.mod, isMain: true}
+	vt.push(p.MainID, -1, 0)
+	rt.mainVT = vt
+	rt.m.Start(0, vt)
 	if err := rt.m.Run(); err != nil {
 		return nil, err
 	}
@@ -486,8 +388,9 @@ func Run(p *ir.Program, opts Options) (res *Result, err error) {
 }
 
 type runtime struct {
-	prog        *ir.Program
-	prep        *prep
+	prog *ir.Program
+	// ext[i] is the implementation of prog.Externs[i].
+	ext         []intrinsic
 	opts        Options
 	m           *simmach.Machine
 	paramVals   []int64
@@ -498,17 +401,15 @@ type runtime struct {
 	// baseFlags is the site-flag vector used outside parallel sections in
 	// flag-dispatch programs.
 	baseFlags []bool
-	// workers holds the reusable worker tasks for processors 1..Procs-1;
-	// each parallel section resets and restarts them, so frame and operand
-	// storage is allocated once per run instead of once per section.
-	// vmWorkers is the same pool for bytecode-engine runs.
-	workers   []*task
+	// vmWorkers holds the reusable worker tasks for processors
+	// 1..Procs-1; each parallel section resets and restarts them, so frame
+	// and register storage is allocated once per run instead of once per
+	// section.
 	vmWorkers []*vmTask
 	// race is the dynamic race detector, nil unless Options.DetectRaces.
 	race *raceDetector
-	// mainT/mainVT is the main task of the engine in use; the snapshot
-	// machinery walks it alongside the pooled workers.
-	mainT  *task
+	// mainVT is the main task; the snapshot machinery walks it alongside
+	// the pooled workers.
 	mainVT *vmTask
 	// hook is the test-only checkpoint/restore hook (Options.ckHook).
 	hook *ckHook
@@ -602,9 +503,7 @@ type sectionRun struct {
 
 // claimIter claims the next iteration for processor p under the active
 // version's scheduling granularity. ok=false means no iterations remain
-// for this worker and it should arrive at the barrier. Both execution
-// engines claim through this method, so chunked scheduling cannot diverge
-// between them.
+// for this worker and it should arrive at the barrier.
 func (sr *sectionRun) claimIter(p *simmach.Proc) (iter int64, ok bool) {
 	if sr.chunkRem != nil {
 		// Drain any locally held chunk first, whatever version is active
@@ -707,294 +606,9 @@ func (sr *sectionRun) onBarrierComplete(last simmach.Time) {
 	sr.resnap()
 }
 
-// frame is one activation record. Register storage lives in the owning
-// task's shared arena (task.regStack); regs is the frame's window into it,
-// re-pointed whenever the arena grows. Frames therefore allocate nothing
-// on the hot call path once the arena has warmed up.
-type frame struct {
-	fn *ir.Func
-	// costs is the function's precomputed per-instruction cost table
-	// (prep.costs[funcID]), kept here so the dispatch loop indexes it
-	// without an extra lookup.
-	costs  []simmach.Time
-	pc     int
-	base   int // offset of the register window in task.regStack
-	regs   []Value
-	retDst ir.Reg
-}
-
 // Worker phases between body executions.
 const (
 	wClaim = iota
 	wBody
 	wAfterBarrier
 )
-
-// task drives one processor: the main task executes serial code and joins
-// sections; worker tasks exist only inside a section.
-type task struct {
-	rt     *runtime
-	frames []frame
-	isMain bool
-	sr     *sectionRun
-	// flags is the active site-flag vector (flag-dispatch programs): the
-	// current version's inside a section, frozen per iteration at claim.
-	flags []bool
-	// baseFrames is the serial-frame depth below section body frames; the
-	// main task joins each section as a worker on top of its serial stack.
-	baseFrames int
-	wphase     int
-	// executed counts instructions in the current Step; sync operations
-	// yield first if any work has been done, so that shared-state effects
-	// occur in exact virtual-time order.
-	executed int
-	acc      simmach.Time // unflushed compute cost
-	// regStack is the shared register arena backing every frame's window.
-	regStack []Value
-	// extArgs is scratch storage for extern-call arguments, reused across
-	// calls (intrinsics never retain their argument slice).
-	extArgs []Value
-	// held is the task's current lock nest, maintained only when the race
-	// detector is enabled. A lock is recorded before a (possibly blocking)
-	// Acquire: a blocked processor executes nothing until it wakes already
-	// owning the lock, so the early entry is never observed unheld.
-	held []*simmach.Lock
-}
-
-func (t *task) flush(p *simmach.Proc) {
-	if t.acc > 0 {
-		p.Advance(t.acc)
-		t.acc = 0
-	}
-}
-
-// pushCall opens a zeroed activation record for funcID and returns its
-// register window; the caller fills in the arguments. The window lives in
-// the task's register arena, so no per-call allocation occurs once the
-// arena and frame stack have reached their high-water marks.
-func (t *task) pushCall(funcID int, retDst ir.Reg) []Value {
-	fn := t.rt.prog.Funcs[funcID]
-	base := len(t.regStack)
-	top := base + fn.NRegs
-	if top <= cap(t.regStack) {
-		t.regStack = t.regStack[:top]
-	} else {
-		t.growRegs(top)
-	}
-	regs := t.regStack[base:top:top]
-	clear(regs)
-	t.frames = append(t.frames, frame{
-		fn: fn, costs: t.rt.prep.costs[funcID],
-		base: base, regs: regs, retDst: retDst,
-	})
-	return regs
-}
-
-// growRegs reallocates the register arena and re-points every live frame's
-// window at the new backing array.
-func (t *task) growRegs(top int) {
-	newCap := 2 * cap(t.regStack)
-	if newCap < top {
-		newCap = top
-	}
-	if newCap < 64 {
-		newCap = 64
-	}
-	grown := make([]Value, top, newCap)
-	copy(grown, t.regStack)
-	t.regStack = grown
-	for i := range t.frames {
-		f := &t.frames[i]
-		end := f.base + f.fn.NRegs
-		f.regs = t.regStack[f.base:end:end]
-	}
-}
-
-// popFrame closes the top activation record, releasing its arena window.
-func (t *task) popFrame() {
-	fr := &t.frames[len(t.frames)-1]
-	t.regStack = t.regStack[:fr.base]
-	t.frames = t.frames[:len(t.frames)-1]
-}
-
-// reset prepares a pooled worker task for a new section run, keeping the
-// frame stack and register arena storage.
-func (t *task) reset(sr *sectionRun) {
-	t.sr = sr
-	t.frames = t.frames[:0]
-	t.regStack = t.regStack[:0]
-	t.flags = nil
-	t.baseFrames = 0
-	t.wphase = wClaim
-	t.executed = 0
-	t.held = t.held[:0]
-}
-
-// Step implements simmach.Process.
-func (t *task) Step(p *simmach.Proc) simmach.Status {
-	if t.rt.m.Steps() > t.rt.opts.MaxSteps {
-		if ps := t.rt.m.PerturbState(); ps != "" {
-			t.rt.fail("step budget exceeded (%d); possible livelock; %s", t.rt.opts.MaxSteps, ps)
-		} else {
-			t.rt.fail("step budget exceeded (%d); possible livelock", t.rt.opts.MaxSteps)
-		}
-	}
-	t.executed = 0
-	for {
-		if t.sr != nil && len(t.frames) == t.baseFrames {
-			st, again := t.sectionStep(p)
-			if !again {
-				return st
-			}
-			continue
-		}
-		if len(t.frames) == 0 {
-			// Main task finished the program.
-			t.flush(p)
-			return simmach.Done
-		}
-		st, again := t.execSome(p)
-		if !again {
-			return st
-		}
-	}
-}
-
-// sectionStep advances the worker-level state machine. It returns the
-// machine status, or again=true to continue within this Step.
-func (t *task) sectionStep(p *simmach.Proc) (simmach.Status, bool) {
-	sr := t.sr
-	if sr.finished {
-		if t.isMain {
-			t.sr = nil
-			t.baseFrames = 0
-			return 0, true // resume serial code
-		}
-		t.flush(p)
-		return simmach.Done, false
-	}
-	switch t.wphase {
-	case wClaim:
-		if t.executed > 0 {
-			// Claims manipulate shared state: execute them at the start of
-			// a dispatch so they happen in virtual-time order.
-			t.flush(p)
-			return simmach.Ready, false
-		}
-		// The claim begins the dispatch with nothing yet charged — the
-		// checkpoint protocol's anchor point (simmach/checkpoint.go).
-		if h := t.rt.hook; h != nil {
-			if st, handled := h.atClaim(t.rt); handled {
-				return st, false
-			}
-		}
-		if sp := sr.samp; sp != nil {
-			if st, handled := sp.atClaim(p); handled {
-				return st, false
-			}
-		}
-		iter, ok := sr.claimIter(p)
-		if !ok {
-			p.BarrierArrive(t.rt.barrier)
-			t.wphase = wAfterBarrier
-			return simmach.Blocked, false
-		}
-		if sr.dynamic {
-			p.Advance(t.rt.opts.DispatchCost)
-		}
-		v := sr.sec.Versions[sr.versionIdx]
-		t.flags = v.Flags
-		regs := t.pushCall(v.FuncID, ir.NoReg)
-		n := copy(regs, sr.args)
-		regs[n] = IntVal(iter)
-		t.wphase = wBody
-		t.executed++
-		return 0, true
-	case wBody:
-		// The body frames just emptied: the iteration is complete. This is
-		// the potential switch point (§4.1).
-		if sr.dynamic {
-			t.flush(p)
-			now := p.ReadTimer()
-			if sr.ctl.Expired(core.Nanos(now)) {
-				if t.rt.opts.AsyncSwitch {
-					// Ablation mode: transition without a rendezvous; the
-					// measurement mixes whatever versions ran meanwhile.
-					sr.ctl.CompletePhase(core.Nanos(now), sr.measure())
-					sr.versionIdx = sr.ctl.CurrentPolicy()
-					sr.resnap()
-					t.wphase = wClaim
-					t.flush(p)
-					return simmach.Ready, false
-				}
-				p.BarrierArrive(t.rt.barrier)
-				t.wphase = wAfterBarrier
-				return simmach.Blocked, false
-			}
-		}
-		t.wphase = wClaim
-		t.flush(p)
-		return simmach.Ready, false
-	case wAfterBarrier:
-		t.wphase = wClaim
-		return 0, true
-	}
-	t.rt.fail("bad worker phase %d", t.wphase)
-	return simmach.Done, false
-}
-
-// enterSection handles OpParallel on the main task.
-func (t *task) enterSection(p *simmach.Proc, fr *frame, in ir.Instr) {
-	rt := t.rt
-	sec := rt.prog.Sections[in.Imm]
-	lo := fr.regs[in.A].I
-	hi := fr.regs[in.B].I
-	args := make([]Value, len(in.Args))
-	for i, r := range in.Args {
-		args[i] = fr.regs[r]
-	}
-	p.Advance(rt.opts.ForkCost)
-	sr := &sectionRun{
-		rt: rt, sec: sec, stats: rt.sectionStats(sec),
-		lo: lo, hi: hi, next: lo, args: args,
-		dynamic:   rt.opts.Policy == PolicyDynamic,
-		snap:      make([]simmach.Counters, rt.opts.Procs),
-		secSnap:   make([]simmach.Counters, rt.opts.Procs),
-		startTime: p.Now(),
-	}
-	if sr.dynamic {
-		sr.ctl = rt.controller(sec)
-		sr.ctl.BeginExecution(core.Nanos(p.Now()))
-		sr.versionIdx = sr.ctl.CurrentPolicy()
-	} else {
-		sr.versionIdx = sec.PolicyVersion[rt.opts.Policy]
-	}
-	sr.stats.ChosenVersion = sr.versionIdx
-	if rt.race != nil {
-		rt.race.enterSection(sec.Name)
-	}
-	if rt.sampSpec != nil && hi-lo >= rt.sampSpec.MinSectionIters {
-		sr.samp = newSampler(rt, sr)
-	}
-	rt.barrier.OnComplete = sr.onBarrierComplete
-	if rt.workers == nil {
-		rt.workers = make([]*task, rt.opts.Procs)
-	}
-	for i := 1; i < rt.opts.Procs; i++ {
-		w := rt.workers[i]
-		if w == nil {
-			w = &task{rt: rt}
-			rt.workers[i] = w
-		}
-		w.reset(sr)
-		rt.m.SetClock(i, p.Now())
-		rt.m.Start(i, w)
-	}
-	for i := range sr.secSnap {
-		sr.secSnap[i] = rt.m.Proc(i).Counters
-	}
-	sr.resnap()
-	t.sr = sr
-	t.baseFrames = len(t.frames)
-	t.wphase = wClaim
-}

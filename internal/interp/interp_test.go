@@ -525,3 +525,33 @@ func TestEarlyCutoffReducesSampling(t *testing.T) {
 		t.Errorf("outputs differ: %v vs %v", cut.Output, full.Output)
 	}
 }
+
+// TestRunRejectsProgramWithoutRegKinds strips the register-kind metadata
+// bytecode compilation needs, from every function or from one: Run must
+// return an error, never panic.
+func TestRunRejectsProgramWithoutRegKinds(t *testing.T) {
+	const src = `
+func inc(x: int): int { return x + 1; }
+func main() {
+  let s: int = 0;
+  for i in 0..10 {
+    s = inc(s) + i;
+  }
+  print s;
+}`
+	for _, which := range []string{"all", "main"} {
+		c := compile(t, src)
+		for _, f := range c.Serial.Funcs {
+			if which == "all" || f.Name == "main" {
+				f.RegKinds = nil
+			}
+		}
+		res, err := Run(c.Serial, Options{Procs: 1, Policy: "original"})
+		if err == nil || res != nil {
+			t.Fatalf("%s stripped: Run returned (%v, %v), want an error", which, res, err)
+		}
+		if !strings.Contains(err.Error(), "register kinds") {
+			t.Errorf("%s stripped: error %q does not name the missing register kinds", which, err)
+		}
+	}
+}

@@ -12,17 +12,15 @@ import (
 // TestNoallocAnnotationCoverage is the interp side of the static/dynamic
 // allocation-gate bridge (see internal/simmach/noalloc_cover_test.go):
 // the //dfvet:noalloc annotations here must stay in lockstep with the
-// runtime assertion below, which drives both annotated step functions —
-// one per execution engine — through the dispatch-heavy benchmark
-// program.
+// runtime assertion below, which drives the annotated step function
+// through a dispatch-heavy program.
 func TestNoallocAnnotationCoverage(t *testing.T) {
 	got, err := lint.NoallocFuncs(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
-		"task.execSome", // EngineInterp step function (exec.go)
-		"vmTask.exec",   // EngineVM specialized step function (vmexec.go)
+		"vmTask.exec", // the dispatch loop (vmexec.go)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("//dfvet:noalloc set drifted from the runtime gate's coverage table:\n got %v\nwant %v\n"+
@@ -31,13 +29,12 @@ func TestNoallocAnnotationCoverage(t *testing.T) {
 }
 
 // TestSteadyStateAllocsPerStep is the runtime half of the //dfvet:noalloc
-// claim on task.execSome and vmTask.exec. A Run has a fixed allocation
-// budget (machine, procs, prep tables), so the per-instruction claim is
-// checked by scaling: a 100x-longer dispatch loop must not allocate
-// meaningfully more than a short one. If either annotated step function
-// allocated per instruction, the long program would show tens of
-// thousands of extra allocations; the bound admits only scheduler-level
-// noise.
+// claim on vmTask.exec. A Run has a fixed allocation budget (machine,
+// procs, task arenas), so the per-instruction claim is checked by scaling:
+// a 100x-longer dispatch loop must not allocate meaningfully more than a
+// short one. If the annotated step function allocated per instruction,
+// the long program would show tens of thousands of extra allocations; the
+// bound admits only scheduler-level noise.
 func TestSteadyStateAllocsPerStep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs repeated full executions; run without -short")
@@ -53,27 +50,26 @@ func main() {
 `
 	short := compile(t, fmt.Sprintf(loopSrc, 200))
 	long := compile(t, fmt.Sprintf(loopSrc, 20000))
-	for _, engine := range []string{EngineInterp, EngineVM} {
-		t.Run(engine, func(t *testing.T) {
-			opts := Options{Procs: 1, Engine: engine}
-			measure := func(c *oblc.Compiled) float64 {
-				// Warm the process: under the vm engine the first Run is
-				// the profiling pass that triggers specialization.
+	// The subtest is named for the bytecode VM, the one engine whose
+	// dispatch loop the gate measures.
+	t.Run("vm", func(t *testing.T) {
+		opts := Options{Procs: 1}
+		measure := func(c *oblc.Compiled) float64 {
+			// Warm the program: the first Run compiles its bytecode.
+			if _, err := Run(c.Serial, opts); err != nil {
+				t.Fatal(err)
+			}
+			return testing.AllocsPerRun(3, func() {
 				if _, err := Run(c.Serial, opts); err != nil {
 					t.Fatal(err)
 				}
-				return testing.AllocsPerRun(3, func() {
-					if _, err := Run(c.Serial, opts); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-			shortAllocs, longAllocs := measure(short), measure(long)
-			if extra := longAllocs - shortAllocs; extra > 16 {
-				t.Errorf("%s: 100x more instructions cost %.0f extra allocs (short %.0f, long %.0f); "+
-					"the annotated step function is allocating per instruction",
-					engine, extra, shortAllocs, longAllocs)
-			}
-		})
-	}
+			})
+		}
+		shortAllocs, longAllocs := measure(short), measure(long)
+		if extra := longAllocs - shortAllocs; extra > 16 {
+			t.Errorf("100x more instructions cost %.0f extra allocs (short %.0f, long %.0f); "+
+				"the annotated step function is allocating per instruction",
+				extra, shortAllocs, longAllocs)
+		}
+	})
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements the dynamic data-race detector of the differential
-// harness: an Eraser-style lockset algorithm run over the interpreter's
+// harness: an Eraser-style lockset algorithm run over the executed
 // field and element accesses inside parallel sections. The static analyzer
 // (internal/obl/analysis) proves the *absence* of races from locksets on
 // the AST; this detector observes their *presence* on the simulated
@@ -16,7 +16,7 @@ import (
 //
 // Detection is entirely optional: with Options.DetectRaces unset the
 // runtime field stays nil and the hooks reduce to one pointer test, keeping
-// the zero-allocation steady state of the plain interpreter.
+// the zero-allocation steady state of the dispatch loop.
 
 // RaceReport describes one data race observed during a run: an access to a
 // shared location whose candidate lockset became empty after the location
@@ -78,7 +78,7 @@ type accessKey struct {
 }
 
 // raceDetector holds the per-run detection state. It is owned by the
-// runtime and only touched from interpreter callbacks, which the simulated
+// runtime and only touched from the dispatch loop, which the simulated
 // machine serializes, so no host-level locking is needed.
 type raceDetector struct {
 	epoch   int
@@ -180,14 +180,4 @@ func intersectLocks(set, held []*simmach.Lock) []*simmach.Lock {
 		}
 	}
 	return out
-}
-
-// unhold removes the most recent occurrence of l from the task's lock nest.
-func (t *task) unhold(l *simmach.Lock) {
-	for i := len(t.held) - 1; i >= 0; i-- {
-		if t.held[i] == l {
-			t.held = append(t.held[:i], t.held[i+1:]...)
-			return
-		}
-	}
 }

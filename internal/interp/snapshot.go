@@ -6,7 +6,7 @@ import (
 
 // This file implements the runtime side of checkpoint/restore: a deep copy
 // of every piece of client state the simulated machine cannot see — call
-// stacks and register arenas of both engines, the reachable heap object
+// stacks and register arenas of every task, the reachable heap object
 // graph, program output, section statistics and cursors, race-detector
 // state, and the sampler's own bookkeeping. Together with
 // simmach.Checkpoint this gives the byte-identity guarantee sampled
@@ -20,14 +20,13 @@ import (
 // anyway.
 
 // runSnapshot is a restorable snapshot of a run: the machine checkpoint
-// plus the interpreter-level client state.
+// plus the runtime-level client state.
 type runSnapshot struct {
 	mck       *simmach.Checkpoint
 	outputLen int
 	stats     map[int]sectionStatsSnap
 	sr        *sectionRun
 	srs       sectionRunSnap
-	tasks     []taskSnap
 	vtasks    []vmTaskSnap
 	objects   []objSnap
 	race      *raceSnap
@@ -56,17 +55,6 @@ type sectionStatsSnap struct {
 	chosen     int
 }
 
-type taskSnap struct {
-	t          *task
-	frames     []frame
-	regStack   []Value
-	flags      []bool
-	baseFrames int
-	wphase     int
-	sr         *sectionRun
-	held       []*simmach.Lock
-}
-
 type vmTaskSnap struct {
 	t          *vmTask
 	frames     []vmFrame
@@ -78,7 +66,6 @@ type vmTaskSnap struct {
 	wphase     int
 	sr         *sectionRun
 	held       []*simmach.Lock
-	sites      []lockSite
 	collapsed  int64
 }
 
@@ -105,12 +92,7 @@ func (rt *runtime) snapshot() *runSnapshot {
 	if len(rt.controllers) != 0 {
 		rt.fail("checkpoint: dynamic-feedback controller state is not snapshotable; use a static policy")
 	}
-	var sr *sectionRun
-	if rt.mainVT != nil {
-		sr = rt.mainVT.sr
-	} else {
-		sr = rt.mainT.sr
-	}
+	sr := rt.mainVT.sr
 	if sr == nil {
 		rt.fail("checkpoint: no active parallel section")
 	}
@@ -164,53 +146,28 @@ func (rt *runtime) snapshot() *runSnapshot {
 		}
 	}
 
-	if rt.mainVT != nil {
-		snapVM := func(t *vmTask) {
-			s.vtasks = append(s.vtasks, vmTaskSnap{
-				t:          t,
-				frames:     append([]vmFrame(nil), t.frames...),
-				intStack:   append([]int64(nil), t.intStack...),
-				floatStack: append([]float64(nil), t.floatStack...),
-				refStack:   append([]*Object(nil), t.refStack...),
-				flags:      t.flags,
-				baseFrames: t.baseFrames,
-				wphase:     t.wphase,
-				sr:         t.sr,
-				held:       append([]*simmach.Lock(nil), t.held...),
-				sites:      append([]lockSite(nil), t.sites...),
-				collapsed:  t.collapsed,
-			})
-			for _, o := range t.refStack {
-				addObj(o)
-			}
+	snapVM := func(t *vmTask) {
+		s.vtasks = append(s.vtasks, vmTaskSnap{
+			t:          t,
+			frames:     append([]vmFrame(nil), t.frames...),
+			intStack:   append([]int64(nil), t.intStack...),
+			floatStack: append([]float64(nil), t.floatStack...),
+			refStack:   append([]*Object(nil), t.refStack...),
+			flags:      t.flags,
+			baseFrames: t.baseFrames,
+			wphase:     t.wphase,
+			sr:         t.sr,
+			held:       append([]*simmach.Lock(nil), t.held...),
+			collapsed:  t.collapsed,
+		})
+		for _, o := range t.refStack {
+			addObj(o)
 		}
-		snapVM(rt.mainVT)
-		for _, w := range rt.vmWorkers {
-			if w != nil {
-				snapVM(w)
-			}
-		}
-	} else {
-		snapT := func(t *task) {
-			s.tasks = append(s.tasks, taskSnap{
-				t:          t,
-				frames:     append([]frame(nil), t.frames...),
-				regStack:   append([]Value(nil), t.regStack...),
-				flags:      t.flags,
-				baseFrames: t.baseFrames,
-				wphase:     t.wphase,
-				sr:         t.sr,
-				held:       append([]*simmach.Lock(nil), t.held...),
-			})
-			for _, v := range t.regStack {
-				addVal(v)
-			}
-		}
-		snapT(rt.mainT)
-		for _, w := range rt.workers {
-			if w != nil {
-				snapT(w)
-			}
+	}
+	snapVM(rt.mainVT)
+	for _, w := range rt.vmWorkers {
+		if w != nil {
+			snapVM(w)
 		}
 	}
 	for _, v := range sr.args {
@@ -283,9 +240,6 @@ func (rt *runtime) restoreSnapshot(s *runSnapshot) {
 	// The active section at the checkpoint owns the switch barrier again.
 	rt.barrier.OnComplete = sr.onBarrierComplete
 
-	for _, ts := range s.tasks {
-		ts.restore()
-	}
 	for _, vs := range s.vtasks {
 		vs.restore()
 	}
@@ -301,30 +255,6 @@ func (rt *runtime) restoreSnapshot(s *runSnapshot) {
 	if s.samp != nil && sr.samp != nil {
 		sr.samp.restoreState(*s.samp)
 	}
-}
-
-func (ts *taskSnap) restore() {
-	t := ts.t
-	n := len(ts.regStack)
-	if cap(t.regStack) < n {
-		t.regStack = make([]Value, n)
-	} else {
-		t.regStack = t.regStack[:n]
-	}
-	copy(t.regStack, ts.regStack)
-	t.frames = append(t.frames[:0], ts.frames...)
-	for i := range t.frames {
-		f := &t.frames[i]
-		end := f.base + f.fn.NRegs
-		f.regs = t.regStack[f.base:end:end]
-	}
-	t.flags = ts.flags
-	t.baseFrames = ts.baseFrames
-	t.wphase = ts.wphase
-	t.sr = ts.sr
-	t.executed = 0
-	t.acc = 0
-	t.held = append(t.held[:0], ts.held...)
 }
 
 func (vs *vmTaskSnap) restore() {
@@ -367,7 +297,6 @@ func (vs *vmTaskSnap) restore() {
 	t.executed = 0
 	t.acc = 0
 	t.held = append(t.held[:0], vs.held...)
-	copy(t.sites, vs.sites)
 	t.collapsed = vs.collapsed
 }
 

@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"fmt"
 	"strconv"
 
 	"repro/internal/obl/ir"
@@ -9,11 +8,18 @@ import (
 	"repro/internal/simmach"
 )
 
-// exec is the bytecode dispatch loop, the VM counterpart of execSome.
-// Instruction-for-instruction it reproduces the interpreter's charging and
-// yield discipline: the step budget counts original instructions (fused
-// groups count their length and fall back to the per-slot plain overlay
-// when the remaining budget cannot admit the whole group), sync
+// stepBudget bounds the IR instructions executed per scheduler dispatch.
+// It only affects scheduling granularity of pure computation; shared-state
+// operations always yield first, so interleavings are exact regardless.
+const stepBudget = 4096
+
+// exec is the bytecode dispatch loop: it executes instructions of the top
+// frame until a yield point, returning again=true when the Step loop
+// should continue (frames emptied while in a section, or after a
+// non-yielding transition). Charging and yielding follow the IR
+// instruction for instruction: the step budget counts IR instructions
+// (fused groups count their length and fall back to the per-slot plain
+// overlay when the remaining budget cannot admit the whole group), sync
 // instructions yield first whenever prior work exists in the dispatch,
 // and tail-call collapse replays the folded returns one charge at a time.
 //
@@ -33,10 +39,6 @@ func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 	code, plain := fr.fc.Code, fr.fc.Plain
 	pc := fr.pc
 	ints, floats, refs := fr.ints, fr.floats, fr.refs
-	var counts []int64
-	if t.prof != nil {
-		counts = t.prof.Counts[fr.fc.ID]
-	}
 
 	for executed < stepBudget {
 		if uint(pc) >= uint(len(code)) {
@@ -46,11 +48,8 @@ func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 		if in.Len > 1 && executed > stepBudget-int(in.Len) {
 			// Not enough budget for the whole fused group: execute the
 			// plain instructions so the dispatch boundary lands exactly
-			// where the interpreter's per-instruction count puts it.
+			// where the per-instruction count puts it.
 			in = &plain[pc]
-		}
-		if counts != nil {
-			counts[pc]++
 		}
 
 		if in.Op >= vm.OpSyncStart {
@@ -71,7 +70,7 @@ func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 			}
 			// Acquire/release family.
 			isAcq := in.Op == vm.OpAcquire || in.Op == vm.OpAcquireEn ||
-				in.Op == vm.OpAcquireIf || in.Op == vm.OpAcquireU
+				in.Op == vm.OpAcquireIf
 			isCond := in.Op == vm.OpAcquireEn || in.Op == vm.OpReleaseEn ||
 				in.Op == vm.OpAcquireIf || in.Op == vm.OpReleaseIf
 			if in.Op == vm.OpAcquireIf || in.Op == vm.OpReleaseIf {
@@ -82,6 +81,8 @@ func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 				if flags == nil || int(in.Imm) >= len(flags) {
 					rt.fail("%s: pc %d: conditional sync without flag context", t.fname(in), in.OrigPC)
 				}
+				// Flag-dispatch mode (§4.2): a disabled site costs only the
+				// flag test.
 				if !flags[in.Imm] {
 					acc += ir.CostFlagTest
 					executed++
@@ -89,6 +90,9 @@ func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 					continue
 				}
 			}
+			// Synchronization constructs interact with shared state:
+			// execute each at the start of its own dispatch so lock events
+			// happen in exact virtual-time order.
 			if executed > 0 {
 				fr.pc = pc
 				t.executed = executed
@@ -100,18 +104,7 @@ func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 			if obj == nil {
 				rt.fail("%s: pc %d: nil dereference", t.fname(in), in.OrigPC)
 			}
-			var lock *simmach.Lock
-			if in.Op == vm.OpAcquireU || in.Op == vm.OpReleaseU {
-				s := &t.sites[in.B]
-				if s.obj == obj {
-					lock = s.lock
-				} else {
-					lock = obj.Lock(rt.m)
-					s.obj, s.lock = obj, lock
-				}
-			} else {
-				lock = obj.Lock(rt.m)
-			}
+			lock := obj.Lock(rt.m)
 			t.acc = acc
 			t.flush(p)
 			acc = 0
@@ -134,9 +127,8 @@ func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 				t.held = append(t.held, lock) //dfvet:allow noalloc race-detection mode only; detection is documented to allocate tracking state
 			}
 			if !p.Acquire(lock) {
-				if t.prof != nil {
-					t.prof.Blocked[fr.fc.ID][pc-1]++
-				}
+				// Blocked; the lock is granted on wake and execution
+				// resumes after the acquire.
 				fr.pc = pc
 				t.executed = executed
 				t.acc = acc
@@ -260,9 +252,6 @@ func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 			code, plain = fr.fc.Code, fr.fc.Plain
 			pc = 0
 			ints, floats, refs = fr.ints, fr.floats, fr.refs
-			if t.prof != nil {
-				counts = t.prof.Counts[fr.fc.ID]
-			}
 
 		case vm.OpTailCall:
 			if len(t.frames)+int(t.collapsed) > 10000 {
@@ -304,7 +293,7 @@ func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 			pc = 0
 
 		case vm.OpCallExtI, vm.OpCallExtF:
-			fn := rt.prep.extFns[in.Imm]
+			fn := rt.ext[in.Imm]
 			args := t.extArgs[:0]
 			for _, mv := range in.Args {
 				switch mv.Bank {
@@ -329,9 +318,9 @@ func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 
 		case vm.OpRetI, vm.OpRetF, vm.OpRetR, vm.OpRetVoid:
 			if fr.collapsed > 0 {
-				// Replay one collapsed tail-call return: the interpreter
-				// unwinds these as separate instructions, so each charge
-				// is its own budget step.
+				// Replay one collapsed tail-call return: the IR unwinds
+				// these as separate instructions, so each charge is its
+				// own budget step.
 				fr.collapsed--
 				t.collapsed--
 				pc--
@@ -360,9 +349,6 @@ func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 			code, plain = fr.fc.Code, fr.fc.Plain
 			pc = fr.pc
 			ints, floats, refs = fr.ints, fr.floats, fr.refs
-			if t.prof != nil {
-				counts = t.prof.Counts[fr.fc.ID]
-			}
 			if retSlot >= 0 {
 				switch in.Op {
 				case vm.OpRetI:
@@ -372,8 +358,8 @@ func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 				case vm.OpRetR:
 					refs[retSlot] = vR
 				default:
-					// Void return into a live destination: the interpreter
-					// writes Value{}, which reads back as zero in any kind.
+					// Void return into a live destination: the IR writes a
+					// zero Value, which reads back as zero in any kind.
 					switch retBank {
 					case vm.BankFloat:
 						floats[retSlot] = 0
@@ -495,15 +481,7 @@ func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 		case vm.OpPrintF:
 			rt.output = append(rt.output, strconv.FormatFloat(floats[in.A], 'g', -1, 64)) //dfvet:allow noalloc program output accumulation, once per print statement
 		case vm.OpPrintR:
-			r := refs[in.A]
-			switch {
-			case r == nil:
-				rt.output = append(rt.output, "nil") //dfvet:allow noalloc program output accumulation, once per print statement
-			case r.Class != nil:
-				rt.output = append(rt.output, fmt.Sprintf("%s@%p", r.Class.Name, r)) //dfvet:allow noalloc program output accumulation, once per print statement
-			default:
-				rt.output = append(rt.output, fmt.Sprintf("array[%d]", len(r.Elems))) //dfvet:allow noalloc program output accumulation, once per print statement
-			}
+			rt.output = append(rt.output, RefVal(refs[in.A]).String()) //dfvet:allow noalloc program output accumulation, once per print statement
 
 		case vm.OpFlagSkip:
 			// All cost (the residual flag test) is in in.Cost; nothing to do.
@@ -657,9 +635,9 @@ func (t *vmTask) exec(p *simmach.Proc) (simmach.Status, bool) {
 	return simmach.Ready, false
 }
 
-// vref fetches a non-nil object from the instruction's A ref slot. The
-// interpreter reports nil dereferences with the already-incremented pc,
-// so the message pc is the instruction's original pc plus one.
+// vref fetches a non-nil object from the instruction's A ref slot. Nil
+// dereferences by field and element accesses report the pc after the
+// instruction (the original pc plus one); sync sites report their own.
 func (t *vmTask) vref(in *vm.Instr, refs []*Object) *Object {
 	o := refs[in.A]
 	if o == nil {

@@ -1,78 +1,43 @@
 package interp
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/core"
 	"repro/internal/obl/ir"
 	"repro/internal/obl/vm"
 	"repro/internal/simmach"
 )
 
-// This file is the bytecode execution engine (Options.Engine == EngineVM).
-// It mirrors task/execSome over the typed register banks of a compiled
-// vm.Module. Equivalence with the interpreter is bit-exact and covers
-// everything a Result or a trace can observe: virtual times, machine
-// counters, scheduler step counts (so dispatch boundaries — the
-// stepBudget accounting, yield-first sync, claim and barrier points —
-// are reproduced instruction for instruction), program output, controller
-// samples and switches, and race-detector findings.
+// This file is the execution engine: vmTask drives one simulated
+// processor through the typed register banks of a compiled vm.Module.
+// Everything a Result or a trace can observe is fixed by the program's
+// IR: virtual times, machine counters, scheduler step counts (dispatch
+// boundaries — the stepBudget accounting, yield-first sync, claim and
+// barrier points — fall instruction for instruction where the IR puts
+// them), program output, controller samples and switches, and
+// race-detector findings.
 
-// vmModEntry is the cached compile/specialization state of one program.
-// The first completed VM run claims the profiling pass; its counters
-// drive vm.Specialize, and every later run picks up the specialized
-// module. Profiling counters are maintained by the run's single machine
-// goroutine, so they need no synchronization.
-type vmModEntry struct {
-	mod  *vm.Module
-	err  error
-	spec atomic.Pointer[vm.Module]
-	prof atomic.Bool // profiling pass claimed
-	mu   sync.Mutex
-	// lastProf retains the profile that drove the specialization, for
-	// diagnostics and the superinstruction-coverage benchmarks.
-	lastProf atomic.Pointer[vm.Profile]
+// compiled is the per-program load-time state: the bytecode module and
+// the resolved extern implementations. It is derived once per
+// *ir.Program and shared by every concurrent Run (the parallel
+// experiment engine executes many runs of the same program at once).
+type compiled struct {
+	mod *vm.Module
+	ext []intrinsic
+	err error
 }
 
-var vmModCache sync.Map // *ir.Program -> *vmModEntry
+type compiledKey struct{}
 
-func vmModuleFor(p *ir.Program) *vmModEntry {
-	if v, ok := vmModCache.Load(p); ok {
-		return v.(*vmModEntry)
-	}
-	e := &vmModEntry{}
-	e.mod, e.err = vm.Compile(p)
-	v, _ := vmModCache.LoadOrStore(p, e)
-	return v.(*vmModEntry)
-}
-
-// acquire picks the module for a run: the specialized one when available,
-// otherwise the baseline — claiming the profiling pass if still open.
-func (e *vmModEntry) acquire() (*vm.Module, *vm.Profile) {
-	if s := e.spec.Load(); s != nil {
-		return s, nil
-	}
-	if e.prof.CompareAndSwap(false, true) {
-		return e.mod, vm.NewProfile(e.mod)
-	}
-	return e.mod, nil
-}
-
-// finish installs the specialization built from a completed profiling run.
-func (e *vmModEntry) finish(p *vm.Profile) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.spec.Load() == nil {
-		e.spec.Store(vm.Specialize(e.mod, p))
-		e.lastProf.Store(p)
-	}
-}
-
-// release re-opens the profiling claim after a run that failed before
-// completing its profile.
-func (e *vmModEntry) release() {
-	e.prof.Store(false)
+func compiledFor(p *ir.Program) *compiled {
+	return p.Derived(compiledKey{}, func() any {
+		c := &compiled{}
+		c.mod, c.err = vm.Compile(p)
+		c.ext = make([]intrinsic, len(p.Externs))
+		for i, e := range p.Externs {
+			c.ext[i] = intrinsics[e.Name]
+		}
+		return c
+	}).(*compiled)
 }
 
 // vmFrame is one activation record over the three banks. The windows are
@@ -90,37 +55,41 @@ type vmFrame struct {
 	collapsed           int64
 }
 
-// lockSite is a per-run monomorphic cache for an OpAcquireU/OpReleaseU
-// site: profile-guided specialization applies these only to sites that
-// never blocked, which in the corpus are also sites that lock the same
-// object repeatedly.
-type lockSite struct {
-	obj  *Object
-	lock *simmach.Lock
-}
-
-// vmTask drives one processor, exactly as task does for the interpreter.
+// vmTask drives one processor: the main task executes serial code and
+// joins sections; worker tasks exist only inside a section.
 type vmTask struct {
-	rt         *runtime
-	mod        *vm.Module
-	frames     []vmFrame
-	isMain     bool
-	sr         *sectionRun
-	flags      []bool
+	rt     *runtime
+	mod    *vm.Module
+	frames []vmFrame
+	isMain bool
+	sr     *sectionRun
+	// flags is the active site-flag vector (flag-dispatch programs): the
+	// current version's inside a section, frozen per iteration at claim.
+	flags []bool
+	// baseFrames is the serial-frame depth below section body frames; the
+	// main task joins each section as a worker on top of its serial stack.
 	baseFrames int
 	wphase     int
-	executed   int
-	acc        simmach.Time
+	// executed counts instructions in the current Step; sync operations
+	// yield first if any work has been done, so that shared-state effects
+	// occur in exact virtual-time order.
+	executed int
+	acc      simmach.Time // unflushed compute cost
 	// Per-bank register arenas backing every frame's windows.
 	intStack   []int64
 	floatStack []float64
 	refStack   []*Object
-	extArgs    []Value
-	held       []*simmach.Lock
-	sites      []lockSite
-	prof       *vm.Profile
+	// extArgs is scratch storage for extern-call arguments, reused across
+	// calls (intrinsics never retain their argument slice).
+	extArgs []Value
+	// held is the task's current lock nest, maintained only when the race
+	// detector is enabled. A lock is recorded before a (possibly blocking)
+	// Acquire: a blocked processor executes nothing until it wakes already
+	// owning the lock, so the early entry is never observed unheld.
+	held []*simmach.Lock
 	// collapsed sums the collapsed counters of every live frame, so the
-	// call-depth check sees the same stack height the interpreter would.
+	// call-depth check sees the stack height the uncollapsed calls would
+	// have.
 	collapsed int64
 	// Tail-call argument scratch: parameter sources are read out before
 	// the frame's parameter slots are overwritten.
@@ -247,6 +216,7 @@ func (t *vmTask) reset(sr *sectionRun) {
 	t.collapsed = 0
 }
 
+// unhold removes the most recent occurrence of l from the task's lock nest.
 func (t *vmTask) unhold(l *simmach.Lock) {
 	for i := len(t.held) - 1; i >= 0; i-- {
 		if t.held[i] == l {
@@ -256,7 +226,7 @@ func (t *vmTask) unhold(l *simmach.Lock) {
 	}
 }
 
-// Step implements simmach.Process; the structure matches task.Step.
+// Step implements simmach.Process.
 func (t *vmTask) Step(p *simmach.Proc) simmach.Status {
 	if t.rt.m.Steps() > t.rt.opts.MaxSteps {
 		if ps := t.rt.m.PerturbState(); ps != "" {
@@ -285,8 +255,8 @@ func (t *vmTask) Step(p *simmach.Proc) simmach.Status {
 	}
 }
 
-// sectionStep advances the worker-level state machine; it is the same
-// state machine as task.sectionStep, with bank-typed argument fills.
+// sectionStep advances the worker-level state machine. It returns the
+// machine status, or again=true to continue within this Step.
 func (t *vmTask) sectionStep(p *simmach.Proc) (simmach.Status, bool) {
 	sr := t.sr
 	if sr.finished {
@@ -301,6 +271,8 @@ func (t *vmTask) sectionStep(p *simmach.Proc) (simmach.Status, bool) {
 	switch t.wphase {
 	case wClaim:
 		if t.executed > 0 {
+			// Claims manipulate shared state: execute them at the start of
+			// a dispatch so they happen in virtual-time order.
 			t.flush(p)
 			return simmach.Ready, false
 		}
@@ -344,11 +316,15 @@ func (t *vmTask) sectionStep(p *simmach.Proc) (simmach.Status, bool) {
 		t.executed++
 		return 0, true
 	case wBody:
+		// The body frames just emptied: the iteration is complete. This is
+		// the potential switch point (§4.1).
 		if sr.dynamic {
 			t.flush(p)
 			now := p.ReadTimer()
 			if sr.ctl.Expired(core.Nanos(now)) {
 				if t.rt.opts.AsyncSwitch {
+					// Ablation mode: transition without a rendezvous; the
+					// measurement mixes whatever versions ran meanwhile.
 					sr.ctl.CompletePhase(core.Nanos(now), sr.measure())
 					sr.versionIdx = sr.ctl.CurrentPolicy()
 					sr.resnap()
@@ -419,8 +395,7 @@ func (t *vmTask) enterSection(p *simmach.Proc, fr *vmFrame, in *vm.Instr) {
 	for i := 1; i < rt.opts.Procs; i++ {
 		w := rt.vmWorkers[i]
 		if w == nil {
-			w = &vmTask{rt: rt, mod: t.mod, prof: t.prof}
-			w.sites = make([]lockSite, t.mod.NumLockSites)
+			w = &vmTask{rt: rt, mod: t.mod}
 			rt.vmWorkers[i] = w
 		}
 		w.reset(sr)

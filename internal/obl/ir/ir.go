@@ -13,6 +13,7 @@ package ir
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Reg is a virtual register index within a function frame.
@@ -304,6 +305,26 @@ type Program struct {
 	// ParamNames fixes the parameter index order used by OpLoadParam.
 	ParamNames []string
 	MainID     int
+
+	// derived memoizes values computed from the finished program (see
+	// Derived).
+	derived sync.Map
+}
+
+// Derived returns the value derived from the program under key, calling
+// build to compute it on first use. Programs are immutable once built, so
+// a derived value (compiled bytecode, a content fingerprint) is computed
+// once and shared by every concurrent user. It lives on the program
+// itself and is released with it, so a derived value must not reference
+// the program: the cycle would keep a finalizer set on the program from
+// running. Keys should be values of an unexported type owned by the
+// deriving package.
+func (p *Program) Derived(key any, build func() any) any {
+	if v, ok := p.derived.Load(key); ok {
+		return v
+	}
+	v, _ := p.derived.LoadOrStore(key, build())
+	return v
 }
 
 // FuncID returns the index of the named function, or -1.

@@ -33,8 +33,7 @@ type ArgMove struct {
 // runtime applies along its own paths). OrigPC and SrcFn locate the
 // first covered instruction in the source program — after inline
 // expansion the containing FuncCode is the caller, but faults must
-// still report the function the instruction came from, exactly as the
-// interpreter's frame would.
+// still report the function the instruction came from.
 //
 // The struct is exactly 64 bytes — one cache line — which the dispatch
 // loop is sensitive to: float constants travel as bits in Imm (SetF/F)
@@ -82,25 +81,20 @@ type FuncCode struct {
 	RegBank []uint8
 	RegSlot []int32
 
-	// Code is the executable stream, possibly specialized. Plain holds the
-	// unspecialized instruction for every slot of the same stream: jump
-	// targets that land inside a fused group execute the plain slots, and
-	// the dispatch loop falls back to a group's plain head when the step
-	// budget cannot admit the whole group. Before specialization the two
-	// alias.
+	// Code is the executable, specialized stream. Plain holds the unfused
+	// instruction for every slot of the same stream: jump targets that
+	// land inside a fused group execute the plain slots, and the dispatch
+	// loop falls back to a group's plain head when the step budget cannot
+	// admit the whole group.
 	Code  []Instr
 	Plain []Instr
 }
 
-// Module is a compiled program.
+// Module is a compiled program. It holds no reference to the source
+// program, so caching a module alongside its program does not keep the
+// program alive.
 type Module struct {
-	Prog  *ir.Program
 	Funcs []*FuncCode
-	// NumLockSites counts static acquire/release instructions across the
-	// module; the engine keeps a per-run monomorphic lock cache this size.
-	NumLockSites int
-	// Specialized marks a module rebuilt by Specialize.
-	Specialized bool
 }
 
 // bankOf maps a register kind to its bank.

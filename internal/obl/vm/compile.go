@@ -6,14 +6,25 @@ import (
 	"repro/internal/obl/ir"
 )
 
-// Compile translates a program to bytecode. It returns an error — and the
-// execution engine falls back to the interpreter — when a function lacks
-// the register-kind metadata lowering records (hand-built programs) or
-// when the metadata is inconsistent with how the code uses registers.
-// Compilation never changes observable behaviour: every returned module
-// executes bit-identically to the interpreter.
+// Compile translates a program to specialized bytecode (see
+// specialize.go). It returns an error when a function lacks the
+// register-kind metadata lowering records (hand-built programs) or when
+// the metadata is inconsistent with how the code uses registers.
+// Compilation never changes observable behaviour: the module executes
+// with exactly the virtual costs, dispatch boundaries and effects of the
+// program's IR.
 func Compile(p *ir.Program) (*Module, error) {
-	m := &Module{Prog: p, Funcs: make([]*FuncCode, len(p.Funcs))}
+	m, err := baseline(p)
+	if err != nil {
+		return nil, err
+	}
+	return specialize(m), nil
+}
+
+// baseline is the unspecialized translation: one bytecode instruction per
+// IR instruction, with self tail calls marked.
+func baseline(p *ir.Program) (*Module, error) {
+	m := &Module{Funcs: make([]*FuncCode, len(p.Funcs))}
 	// Frame geometry first: call translation needs every callee's
 	// parameter slots regardless of definition order.
 	for id, f := range p.Funcs {
@@ -25,7 +36,7 @@ func Compile(p *ir.Program) (*Module, error) {
 	}
 	fs := flagStatics(p)
 	for id, f := range p.Funcs {
-		if err := m.translate(f, m.Funcs[id], fs); err != nil {
+		if err := m.translate(p, f, m.Funcs[id], fs); err != nil {
 			return nil, err
 		}
 	}
@@ -66,7 +77,7 @@ func layout(f *ir.Func, id int) (*FuncCode, error) {
 // section version's): +1 always enabled, -1 always disabled, 0 mixed.
 // It returns nil — no static resolution — whenever a run could reach a
 // conditional site without a well-formed flag vector, because the
-// interpreter faults there and the VM must fault identically.
+// runtime faults there and compiled code must fault identically.
 func flagStatics(p *ir.Program) []int8 {
 	if p.FlagPolicies == nil || p.NumFlagSites == 0 {
 		return nil
@@ -114,8 +125,7 @@ func flagStatics(p *ir.Program) []int8 {
 }
 
 // translate compiles one function body 1:1 (bytecode pcs equal IR pcs).
-func (m *Module) translate(f *ir.Func, fc *FuncCode, fs []int8) error {
-	p := m.Prog
+func (m *Module) translate(p *ir.Program, f *ir.Func, fc *FuncCode, fs []int8) error {
 	kind := func(r ir.Reg) ir.ElemKind { return f.RegKinds[r] }
 	slot := func(r ir.Reg) int32 { return fc.RegSlot[r] }
 	errf := func(pc int, format string, args ...any) error {
@@ -245,7 +255,7 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode, fs []int8) error {
 			}
 			ka, kb := kind(in.A), kind(in.B)
 			if ka != kb {
-				// The interpreter's Value.Equal is false across kinds, so the
+				// Equality is false across kinds (interp.Value.Equal), so the
 				// comparison folds to a constant of the same cost.
 				o.Op = OpConstI
 				if ne {
@@ -473,8 +483,6 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode, fs []int8) error {
 				o.Op = OpRelease
 			}
 			o.A = slot(in.A)
-			o.B = int32(m.NumLockSites)
-			m.NumLockSites++
 			o.Cost = 0 // the runtime charges sync costs along its own paths
 			if err := want(pc, in.A, ir.ElemRef); err != nil {
 				return err
@@ -482,8 +490,6 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode, fs []int8) error {
 		case ir.OpAcquireIf, ir.OpReleaseIf:
 			acq := in.Op == ir.OpAcquireIf
 			o.A, o.Imm = slot(in.A), in.Imm
-			o.B = int32(m.NumLockSites)
-			m.NumLockSites++
 			o.Cost = 0
 			if err := want(pc, in.A, ir.ElemRef); err != nil {
 				return err
@@ -526,14 +532,11 @@ func (m *Module) translate(f *ir.Func, fc *FuncCode, fs []int8) error {
 		}
 	}
 	fc.Code = out
-	fc.Plain = out // alias until specialization rewrites Code
 	return nil
 }
 
 // markTailCalls rewrites self-recursive calls in tail position into
-// OpTailCall. The transformation is static — always sound and always
-// profitable — so it applies to the baseline translation, not just to
-// specialized modules.
+// OpTailCall, on the baseline translation (before inline expansion).
 //
 // Soundness: the eventual return replays its own instruction once per
 // collapsed frame, reading the innermost activation's registers. A

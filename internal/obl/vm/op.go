@@ -1,31 +1,29 @@
 // Package vm compiles the register IR (internal/obl/ir) to a typed,
-// flat register bytecode and applies profile-guided specialization to it.
+// flat register bytecode and statically specializes it. The bytecode is
+// what internal/interp executes.
 //
-// The interpreter (internal/interp) executes ir.Instr directly: every
-// operand is a 32-byte tagged Value, every instruction cost is fetched
-// from a side table, and generic opcodes re-discover operand kinds on
-// each execution. The bytecode eliminates all of that at compile time:
+// The IR is generic: every operand is a tagged value, instruction costs
+// are derived from opcodes, and generic opcodes would re-discover operand
+// kinds on each execution. The bytecode resolves all of that at compile
+// time:
 //
 //   - The register file is split into three typed banks (int64 words —
 //     which also hold booleans — float64s, and object references), so
-//     the hot loop moves 8-byte scalars instead of tagged values and
-//     frame zeroing clears half the bytes.
+//     the hot loop moves 8-byte scalars instead of tagged values.
 //   - Opcodes are kind-specialized (OpEqF vs OpEqI vs OpEqR, typed field
-//     and element accesses, typed prints), so no Value tags are consulted.
+//     and element accesses, typed prints), so no value tags are consulted.
 //   - Every instruction carries its folded virtual cost (extern calls
 //     include the extern's declared cost), call sites carry resolved
 //     argument-move plans, and self tail calls reuse the frame.
 //
-// Profile-guided specialization (specialize.go) then rewrites hot code
-// using counters collected by the VM's first pass over a program:
-// superinstructions for the hottest compare+branch and loop-increment
-// sequences, inline expansion of hot small callees, and monomorphic
-// lock-site caches for uncontended acquire/release sites.
+// Static specialization (specialize.go) then rewrites the translation:
+// superinstructions for every compare+branch and loop-increment
+// sequence, and inline expansion of small leaf callees.
 //
-// The contract with the execution engine (interp's vm task) is strict
-// bit-for-bit equivalence with the interpreter: identical virtual times,
-// counters, scheduler step counts, outputs, controller decisions, and
-// race-detector findings. Specialized instructions therefore perform
+// The contract with the execution engine is strict bit-for-bit fidelity
+// to the IR's semantics: identical virtual times, counters, scheduler
+// step counts, outputs, controller decisions, and race-detector findings
+// whatever the rewrites did. Specialized instructions therefore perform
 // exactly the effects of the instructions they cover — including dead
 // register writes — and fused instructions only execute when the step
 // budget admits the whole group (the per-slot plain overlay runs
@@ -122,7 +120,7 @@ const (
 	OpPrintR
 
 	// Specialized instructions (emitted by compile-time resolution or by
-	// profile-guided specialization).
+	// static specialization).
 
 	// OpFlagSkip replaces a conditional sync site that every policy's
 	// flag vector disables: only the residual flag test is charged.
@@ -132,7 +130,7 @@ const (
 	// reused (arguments shuffled through scratch, locals re-zeroed) and a
 	// collapse counter is incremented so the eventual OpRet replays the
 	// intermediate returns' charges one instruction at a time — dispatch
-	// boundaries land exactly where the interpreter's unwind puts them.
+	// boundaries land exactly where an unwind of real frames puts them.
 	OpTailCall
 
 	// Inline expansion. OpCallEnter opens an inlined callee: it charges
@@ -169,14 +167,12 @@ const (
 	// Synchronization and section entry. These are kept in one contiguous
 	// range so the dispatch loop recognizes the yield-first instructions
 	// with a single compare (see opSyncStart).
-	OpAcquire   // acquire refs[A].lock; B is the lock-site index
+	OpAcquire   // acquire refs[A].lock
 	OpRelease   // release refs[A].lock
 	OpAcquireEn // conditional site every flag vector enables: no lookup
 	OpReleaseEn
 	OpAcquireIf // conditional site, flag vector consulted at run time
 	OpReleaseIf
-	OpAcquireU // profile-uncontended site: monomorphic lock cache
-	OpReleaseU
 	OpParallel // enter Sections[Imm] over [ints[A], ints[B]) with Args
 
 	opCount
@@ -221,7 +217,6 @@ var opNames = [...]string{
 	OpAcquire: "acquire", OpRelease: "release",
 	OpAcquireEn: "acquire.en", OpReleaseEn: "release.en",
 	OpAcquireIf: "acquire.if", OpReleaseIf: "release.if",
-	OpAcquireU: "acquire.u", OpReleaseU: "release.u",
 	OpParallel: "parallel",
 }
 

@@ -1,56 +1,43 @@
 package vm
 
-// Profile-guided specialization. Specialize rebuilds a module from the
-// baseline translation and the counters of a completed profiling run:
+// Static specialization. Compile rebuilds every function of the baseline
+// translation before returning the module:
 //
-//   - Inline expansion: hot calls to small leaf callees are spliced into
-//     the caller as OpCallEnter + remapped body + OpIRet*, with the
-//     callee's registers living in fresh ranges appended to the caller's
-//     frame. Charges and instruction counts are preserved one-for-one
+//   - Inline expansion: calls to small leaf callees are spliced into the
+//     caller as OpCallEnter + remapped body + OpIRet*, with the callee's
+//     registers living in fresh ranges appended to the caller's frame.
+//     Charges and instruction counts are preserved one-for-one
 //     (OpCallEnter charges what OpCall did and zeroes the ranges the push
 //     would have zeroed; OpIRet* charge what OpRet did), so dispatch
 //     boundaries do not move.
-//   - Uncontended lock sites: acquire sites that never blocked during
-//     profiling (and their release counterparts) switch to OpAcquireU /
-//     OpReleaseU, which memoize the site's object→lock resolution in a
-//     per-task monomorphic cache. The cache is guarded, so a site that
-//     turns polymorphic or contended later is still exact.
-//   - Superinstruction fusion: the hottest compare+branch pairs and the
-//     three-instruction serial-loop latch (const 1; add; jump) collapse
-//     into single dispatches. The per-slot Plain stream keeps the
-//     unfused instructions so jumps into a group and step-budget
-//     boundaries behave exactly as unspecialized code.
+//   - Superinstruction fusion: every compare+branch pair and every
+//     three-instruction serial-loop latch (const 1; add; jump) collapses
+//     into a single dispatch. The per-slot Plain stream keeps the unfused
+//     instructions so jumps into a group and step-budget boundaries
+//     behave exactly as unspecialized code.
 //
 // None of this changes observable behaviour; it only reduces dispatches
-// and memory traffic per simulated instruction.
+// and memory traffic per simulated instruction. Every rewrite is sound
+// and profitable wherever its pattern matches, so no execution profile
+// decides where to apply it.
 
 const (
-	// hotThreshold is the minimum profile count for a site to be worth
-	// rewriting. Specialization is a per-program one-time cost, so the
-	// bar is low: anything executed more than a few hundred times.
-	hotThreshold = 256
 	// maxInlineLen bounds the callee size for inline expansion.
 	maxInlineLen = 48
 	// maxFuncGrowth bounds a function's post-inline code size.
 	maxFuncGrowth = 4096
 )
 
-// Specialize builds a specialized module from a baseline module and the
-// profile of a completed run of it.
-func Specialize(base *Module, prof *Profile) *Module {
-	m := &Module{
-		Prog:         base.Prog,
-		Funcs:        make([]*FuncCode, len(base.Funcs)),
-		NumLockSites: base.NumLockSites,
-		Specialized:  true,
-	}
+// specialize builds the specialized module from a baseline translation.
+func specialize(base *Module) *Module {
+	m := &Module{Funcs: make([]*FuncCode, len(base.Funcs))}
 	for id := range base.Funcs {
-		m.Funcs[id] = specializeFunc(base, id, prof)
+		m.Funcs[id] = specializeFunc(base, id)
 	}
 	return m
 }
 
-func specializeFunc(base *Module, id int, prof *Profile) *FuncCode {
+func specializeFunc(base *Module, id int) *FuncCode {
 	fc := base.Funcs[id]
 	nf := &FuncCode{
 		Name: fc.Name, ID: fc.ID, NParams: fc.NParams,
@@ -59,24 +46,10 @@ func specializeFunc(base *Module, id int, prof *Profile) *FuncCode {
 		PInts: fc.PInts, PFloats: fc.PFloats, PRefs: fc.PRefs,
 		RegBank: fc.RegBank, RegSlot: fc.RegSlot,
 	}
-	plain, counts, blocked := inlineExpand(base, fc, nf, prof)
-	for pc := range plain {
-		in := &plain[pc]
-		if counts[pc] < hotThreshold {
-			continue
-		}
-		switch in.Op {
-		case OpAcquire:
-			if blocked[pc] == 0 {
-				in.Op = OpAcquireU
-			}
-		case OpRelease:
-			in.Op = OpReleaseU
-		}
-	}
+	plain := inlineExpand(base, fc, nf)
 	code := make([]Instr, len(plain))
 	copy(code, plain)
-	fuse(code, plain, counts)
+	fuse(code, plain)
 	nf.Plain, nf.Code = plain, code
 	return nf
 }
@@ -110,26 +83,22 @@ func inlinable(fc *FuncCode) bool {
 	return true
 }
 
-// inlineExpand splices hot small callees into fc's code, growing nf's
-// frame by each splice's register ranges. It returns the expanded
-// instruction stream with per-slot execution and blocked counters
-// (spliced slots carry the callee's own counters, which is what fusion
-// needs to judge their heat).
-func inlineExpand(base *Module, fc *FuncCode, nf *FuncCode, prof *Profile) ([]Instr, []int64, []int64) {
-	counts, blocked := prof.Counts[fc.ID], prof.Blocked[fc.ID]
+// inlineExpand splices small leaf callees into fc's code, growing nf's
+// frame by each splice's register ranges, and returns the expanded
+// instruction stream. Call sites are taken in code order while the
+// function stays within maxFuncGrowth.
+func inlineExpand(base *Module, fc *FuncCode, nf *FuncCode) []Instr {
 	splice := make(map[int]*FuncCode)
 	grow := 0
 	for pc := range fc.Code {
 		in := &fc.Code[pc]
-		if in.Op != OpCall || counts[pc] < hotThreshold || int(in.Imm) == fc.ID {
+		if in.Op != OpCall || int(in.Imm) == fc.ID {
 			continue
 		}
 		callee := base.Funcs[in.Imm]
-		if len(callee.Code) > maxInlineLen || !inlinable(callee) {
+		if len(callee.Code) > maxInlineLen || !inlinable(callee) ||
+			len(fc.Code)+grow+len(callee.Code) > maxFuncGrowth {
 			continue
-		}
-		if len(fc.Code)+grow+len(callee.Code) > maxFuncGrowth {
-			break
 		}
 		splice[pc] = callee
 		grow += len(callee.Code)
@@ -137,13 +106,11 @@ func inlineExpand(base *Module, fc *FuncCode, nf *FuncCode, prof *Profile) ([]In
 	if len(splice) == 0 {
 		out := make([]Instr, len(fc.Code))
 		copy(out, fc.Code)
-		return out, counts, blocked
+		return out
 	}
 
 	newPC := make([]int32, len(fc.Code)+1)
 	out := make([]Instr, 0, len(fc.Code)+grow)
-	nc := make([]int64, 0, len(fc.Code)+grow)
-	nb := make([]int64, 0, len(fc.Code)+grow)
 	var fixups []int // out indices of caller jumps whose targets need remapping
 	for pc := range fc.Code {
 		newPC[pc] = int32(len(out))
@@ -154,8 +121,6 @@ func inlineExpand(base *Module, fc *FuncCode, nf *FuncCode, prof *Profile) ([]In
 				fixups = append(fixups, len(out))
 			}
 			out = append(out, in)
-			nc = append(nc, counts[pc])
-			nb = append(nb, blocked[pc])
 			continue
 		}
 
@@ -183,12 +148,9 @@ func inlineExpand(base *Module, fc *FuncCode, nf *FuncCode, prof *Profile) ([]In
 			Imm:  int64(rb)<<32 | int64(rb+callee.NRefs),
 			Args: moves,
 		})
-		nc = append(nc, counts[pc])
-		nb = append(nb, blocked[pc])
 
 		bodyStart := int32(len(out))
 		end := int64(bodyStart) + int64(len(callee.Code))
-		ccounts, cblocked := prof.Counts[callee.ID], prof.Blocked[callee.ID]
 		for t := range callee.Code {
 			cin := callee.Code[t]
 			switch cin.Op {
@@ -240,21 +202,19 @@ func inlineExpand(base *Module, fc *FuncCode, nf *FuncCode, prof *Profile) ([]In
 				}
 				out = append(out, cin)
 			}
-			nc = append(nc, ccounts[t])
-			nb = append(nb, cblocked[t])
 		}
 	}
 	newPC[len(fc.Code)] = int32(len(out))
 	for _, i := range fixups {
 		out[i].Imm = int64(newPC[out[i].Imm])
 	}
-	return out, nc, nb
+	return out
 }
 
 // remapSlots adds a splice's bank bases to every register-slot field of
 // an inlined instruction. Which fields are slots — and in which bank —
-// is a property of the opcode; immediates, jump targets, lock-site and
-// flag-site indices are left alone.
+// is a property of the opcode; immediates, jump targets and flag-site
+// indices are left alone.
 func remapSlots(o *Instr, ib, fb, rb int32) {
 	switch o.Op {
 	case OpNop, OpFlagSkip, OpJump:
@@ -363,27 +323,26 @@ func remapSlots(o *Instr, ib, fb, rb int32) {
 	case OpPrintR:
 		o.A += rb
 	case OpAcquire, OpRelease, OpAcquireEn, OpReleaseEn,
-		OpAcquireIf, OpReleaseIf, OpAcquireU, OpReleaseU:
-		o.A += rb // B stays: it is the lock-site index, shared with the out-of-line body
+		OpAcquireIf, OpReleaseIf:
+		o.A += rb
 	}
 }
 
-// fuse rewrites hot superinstruction patterns in code, leaving plain as
-// the per-slot unfused stream. Group tails keep their plain copies in
-// code too, so jumps that land inside a group execute unfused.
-func fuse(code, plain []Instr, counts []int64) {
-	cmpBr := map[Op]Op{
-		OpEqI: OpEqIBr, OpNeI: OpNeIBr, OpEqF: OpEqFBr, OpNeF: OpNeFBr,
-		OpEqR: OpEqRBr, OpNeR: OpNeRBr,
-		OpLtI: OpLtIBr, OpLeI: OpLeIBr, OpGtI: OpGtIBr, OpGeI: OpGeIBr,
-		OpLtF: OpLtFBr, OpLeF: OpLeFBr, OpGtF: OpGtFBr, OpGeF: OpGeFBr,
-		OpNot: OpNotBr,
-	}
+// cmpBranch maps each compare to its fused compare+branch form.
+var cmpBranch = map[Op]Op{
+	OpEqI: OpEqIBr, OpNeI: OpNeIBr, OpEqF: OpEqFBr, OpNeF: OpNeFBr,
+	OpEqR: OpEqRBr, OpNeR: OpNeRBr,
+	OpLtI: OpLtIBr, OpLeI: OpLeIBr, OpGtI: OpGtIBr, OpGeI: OpGeIBr,
+	OpLtF: OpLtFBr, OpLeF: OpLeFBr, OpGtF: OpGtFBr, OpGeF: OpGeFBr,
+	OpNot: OpNotBr,
+}
+
+// fuse rewrites superinstruction patterns in code, leaving plain as the
+// per-slot unfused stream. Group tails keep their plain copies in code
+// too, so jumps that land inside a group execute unfused.
+func fuse(code, plain []Instr) {
 	for pc := 0; pc+1 < len(code); pc++ {
 		in := &plain[pc]
-		if counts[pc] < hotThreshold {
-			continue
-		}
 		// Serial-loop latch: const.i c,1 ; add.i a,a,c ; jump t.
 		if pc+2 < len(code) && in.Op == OpConstI && in.Imm == 1 {
 			add, jmp := &plain[pc+1], &plain[pc+2]
@@ -397,7 +356,7 @@ func fuse(code, plain []Instr, counts []int64) {
 				continue
 			}
 		}
-		fop, ok := cmpBr[in.Op]
+		fop, ok := cmpBranch[in.Op]
 		if !ok {
 			continue
 		}
