@@ -5,7 +5,7 @@
 // (internal/parexec) by default: independent simulations fan out across
 // the host's cores, memoized single-flight so shared cells are simulated
 // exactly once. Every simulation is deterministic, so the rendered
-// reports are byte-identical at any parallelism (-speedup verifies this
+// reports are byte-identical at any parallelism (-scaling verifies this
 // on every run that uses it).
 //
 // The content-addressed simulation cache (internal/simcache) persists
@@ -15,8 +15,10 @@
 // against the populated cache and records the cold/warm speedup.
 //
 // -scaling reruns the suite cold at each named parallelism and records
-// the wall-clock curve; -cpuprofile writes a Go CPU profile of the whole
-// run.
+// the wall-clock curve (-scaling 1 is the serial baseline); -cpuprofile
+// writes a Go CPU profile of the whole run. Every rerun must render each
+// report byte-identically to the first pass, or dfbench exits 1 naming
+// the experiment that differs.
 //
 // -sample runs the sampled-simulation tier (internal/bench.SamplingValidation):
 // each large-workload cell is simulated twice, once with interval sampling
@@ -43,7 +45,7 @@
 //
 //	dfbench [-quick] [-procs 1,2,4,6,8,12,16] [-run table2,figure4|none]
 //	        [-perturb crossover|ramp|periodic|skew|all]
-//	        [-p N] [-csv dir] [-json path] [-speedup] [-list]
+//	        [-p N] [-csv dir] [-json path] [-list]
 //	        [-cache dir] [-cache-mem N] [-cache-verify] [-cache-timing]
 //	        [-scaling 1,2,4] [-controller roundrobin|ucb]
 //	        [-sample] [-sample-validate]
@@ -82,7 +84,6 @@ func main() {
 	par := flag.Int("p", 0, "max simulations in flight (default GOMAXPROCS; 1 runs serially)")
 	csvDir := flag.String("csv", "", "also write each experiment's rows and series as CSV files into this directory")
 	jsonPath := flag.String("json", "BENCH_suite.json", "write every report plus host wall-clock timing as JSON to this path (empty disables)")
-	speedup := flag.Bool("speedup", false, "rerun the suite serially on a cold cache, record the wall-clock speedup, and verify the reports are byte-identical")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	cacheDir := flag.String("cache", "", "content-addressed simulation cache directory (persists results across runs)")
 	cacheMem := flag.Int("cache-mem", 0, "in-memory cache capacity in entries (default 1024; negative disables the memory tier)")
@@ -206,46 +207,29 @@ func main() {
 			// each hit is re-simulated and byte-compared inside the suite.
 			wcfg := cfg
 			wcfg.CacheVerify = *cacheVerify
-			warmReports, _, warmMS, err := runSuite(wcfg, selected, cfg.Parallelism)
+			warmMS, err := rerun(wcfg, selected, cfg.Parallelism, reports, "warm pass")
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "dfbench: warm pass: %v\n", err)
+				fmt.Fprintf(os.Stderr, "dfbench: %v\n", err)
 				os.Exit(1)
 			}
-			for i, rep := range reports {
-				if rep.Format() != warmReports[i].Format() {
-					fmt.Fprintf(os.Stderr, "dfbench: CACHE VIOLATION: %s differs between cold and warm passes\n", rep.ID)
-					os.Exit(1)
+			cacheInfo.WarmWallMS = warmMS
+			if *cacheVerify {
+				fmt.Printf("cache verify: every hit re-simulated and byte-identical (%.0f ms); reports byte-identical\n", warmMS)
+				// Verification re-simulates every hit, so its wall-clock
+				// says nothing about cache service time; with both flags a
+				// third, pure-warm pass measures it.
+				warmMS = 0
+				if *cacheTiming {
+					if warmMS, err = rerun(cfg, selected, cfg.Parallelism, reports, "warm timing pass"); err != nil {
+						fmt.Fprintf(os.Stderr, "dfbench: %v\n", err)
+						os.Exit(1)
+					}
 				}
 			}
-			cacheInfo.WarmWallMS = warmMS
-			if !*cacheVerify && warmMS > 0 {
-				// Verification re-simulates every hit, so its wall-clock
-				// says nothing about cache service time.
+			if warmMS > 0 {
 				cacheInfo.SpeedupVsCold = totalMS / warmMS
 				fmt.Printf("warm cache wall-clock: %.0f ms; %.2fx vs cold pass; reports byte-identical\n",
 					warmMS, cacheInfo.SpeedupVsCold)
-			} else {
-				fmt.Printf("cache verify: every hit re-simulated and byte-identical (%.0f ms); reports byte-identical\n", warmMS)
-				if *cacheTiming {
-					// Both flags: a third, pure-warm pass measures cache
-					// service time now that every hit is verified.
-					tReports, _, tms, err := runSuite(cfg, selected, cfg.Parallelism)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "dfbench: warm timing pass: %v\n", err)
-						os.Exit(1)
-					}
-					for i, rep := range reports {
-						if rep.Format() != tReports[i].Format() {
-							fmt.Fprintf(os.Stderr, "dfbench: CACHE VIOLATION: %s differs between cold and warm timing passes\n", rep.ID)
-							os.Exit(1)
-						}
-					}
-					if tms > 0 {
-						cacheInfo.SpeedupVsCold = totalMS / tms
-						fmt.Printf("warm cache wall-clock: %.0f ms; %.2fx vs cold pass; reports byte-identical\n",
-							tms, cacheInfo.SpeedupVsCold)
-					}
-				}
 			}
 		}
 		cacheInfo.Stats = cache.Stats()
@@ -262,46 +246,18 @@ func main() {
 				fmt.Fprintf(os.Stderr, "dfbench: bad -scaling entry %q\n", part)
 				os.Exit(2)
 			}
+			// Cold: the simulation cache is detached, so every cell
+			// genuinely re-simulates.
 			scfg := cfg
 			scfg.Cache, scfg.CacheVerify = nil, false
-			scaleReports, _, sms, err := runSuite(scfg, selected, n)
+			sms, err := rerun(scfg, selected, n, reports, fmt.Sprintf("scaling pass at parallelism %d", n))
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "dfbench: scaling pass p=%d: %v\n", n, err)
+				fmt.Fprintf(os.Stderr, "dfbench: %v\n", err)
 				os.Exit(1)
-			}
-			for i, rep := range reports {
-				if rep.Format() != scaleReports[i].Format() {
-					fmt.Fprintf(os.Stderr, "dfbench: DETERMINISM VIOLATION: %s differs at parallelism %d\n", rep.ID, n)
-					os.Exit(1)
-				}
 			}
 			scalingInfo = append(scalingInfo, scalePoint{Parallelism: n, WallMS: sms})
 			fmt.Printf("scaling: parallelism %d: %.0f ms; reports byte-identical\n", n, sms)
 		}
-	}
-
-	serialMS, speedupX := 0.0, 0.0
-	if *speedup {
-		// A cold serial pass over a fresh suite — with the simulation cache
-		// detached, so every cell genuinely re-simulates: the determinism
-		// invariant requires its reports to match the parallel pass byte
-		// for byte.
-		scfg := cfg
-		scfg.Cache, scfg.CacheVerify = nil, false
-		serialReports, _, sms, err := runSuite(scfg, selected, 1)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dfbench: serial pass: %v\n", err)
-			os.Exit(1)
-		}
-		for i, rep := range reports {
-			if rep.Format() != serialReports[i].Format() {
-				fmt.Fprintf(os.Stderr, "dfbench: DETERMINISM VIOLATION: %s differs between parallel and serial passes\n", rep.ID)
-				os.Exit(1)
-			}
-		}
-		serialMS = sms
-		speedupX = serialMS / totalMS
-		fmt.Printf("serial wall-clock: %.0f ms; parallel speedup %.2fx; reports byte-identical\n", serialMS, speedupX)
 	}
 
 	var samplingInfo *bench.SamplingJSON
@@ -327,7 +283,7 @@ func main() {
 	}
 
 	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, cfg, reports, walls, totalMS, serialMS, speedupX, failed, cacheInfo, scalingInfo, samplingInfo, policiesInfo); err != nil {
+		if err := writeJSON(*jsonPath, cfg, reports, walls, totalMS, failed, cacheInfo, scalingInfo, samplingInfo, policiesInfo); err != nil {
 			fmt.Fprintf(os.Stderr, "dfbench: json: %v\n", err)
 			os.Exit(1)
 		}
@@ -378,6 +334,25 @@ func runSuite(cfg bench.SuiteConfig, selected []bench.Experiment, parallelism in
 	return reports, walls, totalMS, nil
 }
 
+// rerun runs the selected experiments again on a fresh suite and
+// requires every report to render byte-identically to the first pass:
+// the determinism invariant for a different parallelism, and the cache
+// invariant for a pass served from the simulation cache. It returns the
+// pass's wall-clock; the error names the pass and the first experiment
+// that differs.
+func rerun(cfg bench.SuiteConfig, selected []bench.Experiment, parallelism int, first []*bench.Report, pass string) (float64, error) {
+	reports, _, ms, err := runSuite(cfg, selected, parallelism)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", pass, err)
+	}
+	for i, rep := range first {
+		if rep.Format() != reports[i].Format() {
+			return 0, fmt.Errorf("VIOLATION: %s: %s renders differently than in the first pass", pass, rep.ID)
+		}
+	}
+	return ms, nil
+}
+
 // cacheJSON records one run's interaction with the simulation cache: the
 // cold (first-pass) and warm (second-pass) wall-clocks, whether hits were
 // byte-verified against fresh simulations, and the traffic counters.
@@ -401,7 +376,7 @@ type scalePoint struct {
 // timing as one JSON document (BENCH_suite.json by default), so benchmark
 // results accumulate as a perf trajectory across changes.
 func writeJSON(path string, cfg bench.SuiteConfig, reports []*bench.Report, walls []float64,
-	totalMS, serialMS, speedup float64, failed int, cacheInfo *cacheJSON,
+	totalMS float64, failed int, cacheInfo *cacheJSON,
 	scalingInfo []scalePoint, samplingInfo *bench.SamplingJSON,
 	policiesInfo *bench.PoliciesJSON) error {
 	type expJSON struct {
@@ -419,8 +394,6 @@ func writeJSON(path string, cfg bench.SuiteConfig, reports []*bench.Report, wall
 		HostCPUs     int                 `json:"host_cpus"`
 		Parallelism  int                 `json:"parallelism"`
 		TotalWallMS  float64             `json:"total_wall_ms"`
-		SerialWallMS float64             `json:"serial_wall_ms,omitempty"`
-		Speedup      float64             `json:"speedup_vs_serial,omitempty"`
 		Cache        *cacheJSON          `json:"cache,omitempty"`
 		Scaling      []scalePoint        `json:"scaling,omitempty"`
 		Sampling     *bench.SamplingJSON `json:"sampling,omitempty"`
@@ -434,8 +407,6 @@ func writeJSON(path string, cfg bench.SuiteConfig, reports []*bench.Report, wall
 		HostCPUs:     runtime.NumCPU(),
 		Parallelism:  cfg.Parallelism,
 		TotalWallMS:  totalMS,
-		SerialWallMS: serialMS,
-		Speedup:      speedup,
 		Cache:        cacheInfo,
 		Scaling:      scalingInfo,
 		Sampling:     samplingInfo,

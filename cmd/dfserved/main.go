@@ -15,7 +15,7 @@
 //	dfserved [-addr :8080] [-workers N] [-sampling 5ms] [-production 2s]
 //	         [-controller roundrobin|ucb] [-max-concurrent N] [-cold]
 //	         [-simcache dir] [-log text|json]
-//	         [-store policies.json | -kv dir]
+//	         [-kv dir]
 //	         [-hub http://host:9090] [-tenant NAME] [-origin ID]
 //	         [-version]
 //
@@ -50,8 +50,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	storePath := flag.String("store", "", "policy store file (JSON; empty = in-memory, knowledge dies with the process)")
-	kvDir := flag.String("kv", "", "policy store directory (embedded write-ahead-logged KV); mutually exclusive with -store")
+	kvDir := flag.String("kv", "", "policy store directory (write-ahead-logged KV; empty = in-memory, knowledge dies with the process)")
 	hubURL := flag.String("hub", "", "dfstored hub URL; replicates the policy store across the fleet")
 	tenant := flag.String("tenant", "", "tenant namespace for fleet records (replicas of the same application share one)")
 	origin := flag.String("origin", "", "replica identity in fleet records (default host:pid)")
@@ -74,11 +73,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *storePath != "" && *kvDir != "" {
-		fatal(fmt.Errorf("set at most one of -store and -kv"))
-	}
-	if *tenant != "" && *hubURL == "" && *storePath == "" && *kvDir == "" {
-		fatal(fmt.Errorf("-tenant needs a store to namespace: set -hub, -store or -kv"))
+	if *tenant != "" && *hubURL == "" && *kvDir == "" {
+		fatal(fmt.Errorf("-tenant needs a store to namespace: set -hub or -kv"))
 	}
 
 	if !core.ValidKind(*controller) {
@@ -96,19 +92,9 @@ func main() {
 		Controller:       *controller,
 	}
 
-	// The local store: a JSON file, an embedded KV directory, or memory.
+	// The local store: an embedded KV directory, or memory.
 	var local store.Backend
-	switch {
-	case *storePath != "":
-		fs, err := store.OpenFile(*storePath)
-		if err != nil {
-			fatal(err)
-		}
-		if warn := fs.LoadWarning(); warn != "" {
-			logger.Warn("store loaded with damage tolerated", "warning", warn)
-		}
-		local = fs
-	case *kvDir != "":
+	if *kvDir != "" {
 		kv, err := store.OpenKV(*kvDir)
 		if err != nil {
 			fatal(err)
@@ -168,7 +154,7 @@ func main() {
 	}()
 
 	logger.Info("dfserved listening", "addr", *addr, "version", buildinfo.Version(),
-		"sections", srv.SectionNames(), "store", storeDesc(*storePath, *kvDir, *hubURL),
+		"sections", srv.SectionNames(), "store", storeDesc(*kvDir, *hubURL),
 		"tenant", *tenant)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fatal(err)
@@ -195,14 +181,12 @@ func newLogger(format string) (*slog.Logger, error) {
 	}
 }
 
-func storeDesc(path, kv, hub string) string {
+func storeDesc(kv, hub string) string {
 	switch {
 	case hub != "":
 		return "hub " + hub
 	case kv != "":
 		return "kv " + kv
-	case path != "":
-		return path
 	}
 	return "in-memory"
 }

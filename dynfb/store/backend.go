@@ -94,10 +94,10 @@ func Newer(a, b VersionedRecord) bool {
 var ErrConflict = errors.New("store: compare-and-swap conflict")
 
 // Backend is the storage engine behind the Store API: a versioned key →
-// record map with optimistic concurrency and change notification. Four
-// implementations are provided: MemStore (in-process), FileStore (one
-// JSON file, atomic renames), KVStore (write-ahead-logged embedded KV),
-// and ReplStore (hub-replicated). All must be safe for concurrent use.
+// record map with optimistic concurrency and change notification. Three
+// implementations are provided: MemStore (in-process), KVStore
+// (write-ahead-logged, the durable on-disk one), and ReplStore
+// (hub-replicated). All must be safe for concurrent use.
 type Backend interface {
 	// Get returns the record at k and whether one exists.
 	Get(k Key) (VersionedRecord, bool, error)

@@ -1,9 +1,9 @@
-// Conformance suite: every Backend implementation — MemStore, FileStore,
-// KVStore, ReplStore — must satisfy the same contract: CAS-versioned
-// puts, byte-identical round trips, sorted listings, watch notification,
-// tenant and environment isolation through the Store view, and (where
-// the backend is durable) persistence across a reopen. The suite lives
-// in package store_test so it can stand up a real replication hub.
+// Conformance suite: every Backend implementation — MemStore, KVStore,
+// ReplStore — must satisfy the same contract: CAS-versioned puts,
+// byte-identical round trips, sorted listings, watch notification,
+// tenant and environment isolation through the Store view, and (where the
+// backend is durable) persistence across a reopen. The suite lives in
+// package store_test so it can stand up a real replication hub.
 package store_test
 
 import (
@@ -13,7 +13,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http/httptest"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,27 +51,6 @@ func fixtures() []backendFixture {
 		{
 			name: "mem",
 			open: func(t *testing.T) store.Backend { return store.NewMemStore() },
-		},
-		{
-			name: "file",
-			open: func(t *testing.T) store.Backend {
-				fs, err := store.OpenFile(filepath.Join(t.TempDir(), "policies.json"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return fs
-			},
-			reopen: func(t *testing.T, old store.Backend) store.Backend {
-				path := old.(*store.FileStore).Path()
-				if err := old.Close(); err != nil {
-					t.Fatal(err)
-				}
-				fs, err := store.OpenFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return fs
-			},
 		},
 		{
 			name: "kv",

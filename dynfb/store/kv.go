@@ -11,17 +11,18 @@ import (
 	"sync"
 )
 
-// KVStore is the embedded key-value backend: a directory holding a JSON
+// KVStore is the durable on-disk backend: a directory holding a JSON
 // snapshot plus a write-ahead log of CRC-framed puts. A Put appends one
 // frame to the log and fsyncs it before returning, so a completed Put
-// survives a crash without rewriting the whole store (FileStore's cost
-// model); the log is folded into a fresh snapshot — written through the
-// same fsynced atomic-rename path as FileStore — once it grows past a
-// threshold. A torn or corrupt log tail (the partial frame a crash
-// mid-append leaves behind) is detected by its length/checksum and
-// truncated away on open: everything before it is kept, and the damaged
-// suffix is never visible to readers. It implements both Store and
-// Backend.
+// survives a crash without rewriting the whole store; the log is folded
+// into a fresh snapshot — written through a fsynced temporary sibling and
+// an atomic rename — once it grows past a threshold, and on Close. A torn
+// or corrupt log tail (the partial frame a crash mid-append leaves
+// behind) is detected by its length/checksum and truncated away on open:
+// everything before it is kept, and the damaged suffix is never visible
+// to readers. A single policy file of either schema is a valid snapshot
+// with an empty log, so it loads when placed at DIR/snapshot.json. It
+// implements both Store and Backend.
 type KVStore struct {
 	dir string
 
@@ -52,10 +53,12 @@ const (
 )
 
 // OpenKV opens (or initializes) the embedded KV store rooted at dir,
-// creating the directory if needed. Damage is tolerated the same way
-// FileStore tolerates it: a corrupt snapshot loads as empty, a torn log
-// tail is truncated, and the condition is reported by LoadWarning rather
-// than failing the open.
+// creating the directory if needed. Damage is tolerated rather than
+// failing the open, because the knowledge is re-learnable: a truncated,
+// corrupt or future-schema snapshot loads as empty, a schema-1 snapshot
+// (from before the fleet rework) is migrated, a torn log tail is
+// truncated, and the condition is reported by LoadWarning. Temporaries a
+// crashed compaction left beside the snapshot are swept away unread.
 func OpenKV(dir string) (*KVStore, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty KV directory")
@@ -65,6 +68,15 @@ func OpenKV(dir string) (*KVStore, error) {
 	}
 	s := &KVStore{dir: dir, recs: map[Key]VersionedRecord{}}
 
+	// A temporary was never renamed, so its contents are possibly torn
+	// and must never be read as a snapshot.
+	if entries, err := os.ReadDir(dir); err == nil {
+		for _, e := range entries {
+			if isTempName(kvSnapshotName, e.Name()) {
+				os.Remove(filepath.Join(dir, e.Name()))
+			}
+		}
+	}
 	snapPath := filepath.Join(dir, kvSnapshotName)
 	if data, err := os.ReadFile(snapPath); err == nil {
 		recs, warn := decodeRecords(data, snapPath)

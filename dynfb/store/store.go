@@ -20,11 +20,11 @@
 //
 // The Store API is a thin view over a Backend: a versioned key → record
 // map keyed by (tenant, section, environment hash) with compare-and-swap
-// updates and change notification (see Backend). Four backends are
-// provided: MemStore (tests and single-process sharing), FileStore (one
-// JSON file with atomic-rename writes), KVStore (an embedded
-// write-ahead-logged KV directory), and ReplStore (hub-replicated with
-// last-writer-wins resolution; see repl.go and the hub package). A store
+// updates and change notification (see Backend). Three backends are
+// provided: MemStore (tests and single-process sharing), KVStore (the
+// durable one: a write-ahead-logged directory with a JSON snapshot), and
+// ReplStore (hub-replicated with last-writer-wins resolution; see repl.go
+// and the hub package). A store
 // is a cache of learnable knowledge: corruption, truncation, or schema
 // drift loads as an empty store rather than an error, because the worst
 // case is simply a cold start.
@@ -36,8 +36,7 @@ import (
 	"sync"
 )
 
-// SchemaVersion is the on-disk schema of FileStore and of KVStore
-// snapshots. Version 1 (the original section-keyed map) is migrated on
+// SchemaVersion is the on-disk schema of KVStore snapshots. Version 1 (the original section-keyed map) is migrated on
 // load; any other mismatched version loads as empty (the knowledge is
 // re-learnable; the format is not negotiated).
 const SchemaVersion = 2

@@ -1,7 +1,6 @@
 package dynfb
 
 import (
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -57,7 +56,7 @@ func warmConfig(st store.Store) Config {
 // sampling only the recorded winner, instead of every variant, and picks
 // the same winner.
 func TestWarmStartShortensSampling(t *testing.T) {
-	st, err := store.OpenFile(filepath.Join(t.TempDir(), "policies.json"))
+	st, err := store.OpenKV(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +90,11 @@ func TestWarmStartShortensSampling(t *testing.T) {
 		t.Fatalf("persisted winner = %s, want lean", rec.Winner)
 	}
 
-	// "Restart": a fresh process opens the same store file.
-	st2, err := store.OpenFile(st.Path())
+	// "Restart": a fresh process opens the same store directory.
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := store.OpenKV(st.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,10 +218,10 @@ func TestReseedSeedsLiveSection(t *testing.T) {
 }
 
 // TestConcurrentSectionsSharedStore exercises concurrent Section writers
-// against one FileStore, with StatsSnapshot readers in flight; run under
+// against one KV store, with StatsSnapshot readers in flight; run under
 // -race this checks the locking of the whole persistence path.
 func TestConcurrentSectionsSharedStore(t *testing.T) {
-	st, err := store.OpenFile(filepath.Join(t.TempDir(), "policies.json"))
+	st, err := store.OpenKV(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,83 +1,25 @@
 package lint
 
 import (
-	"encoding/json"
 	"io"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/sarif"
 )
-
-// SARIF 2.1.0 output, the static-analysis interchange format CI systems
-// ingest for code-scanning annotations. Only the slice of the schema dfvet
-// produces is modeled here.
-
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri,omitempty"`
-	Rules          []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysicalLocation `json:"physicalLocation"`
-}
-
-type sarifPhysicalLocation struct {
-	ArtifactLocation sarifArtifactLocation `json:"artifactLocation"`
-	Region           sarifRegion           `json:"region"`
-}
-
-type sarifArtifactLocation struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
 
 // WriteSARIF renders findings as one SARIF 2.1.0 run of the dfvet driver.
 // Rules are declared for every analyzer in the suite (found or not), so a
 // clean run still advertises what was checked. File URIs are made relative
 // to root when possible.
 func WriteSARIF(w io.Writer, findings []Finding, analyzers []*Analyzer, root string) error {
-	rules := make([]sarifRule, 0, len(analyzers))
+	rules := make([]sarif.Rule, 0, len(analyzers))
 	for _, a := range analyzers {
-		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifMessage{Text: a.Doc}})
+		rules = append(rules, sarif.Rule{ID: a.Name, Summary: a.Doc})
 	}
 	sort.Slice(rules, func(i, j int) bool { return rules[i].ID < rules[j].ID })
 
-	results := make([]sarifResult, 0, len(findings))
+	results := make([]sarif.Result, 0, len(findings))
 	for _, f := range findings {
 		uri := f.File
 		if root != "" {
@@ -85,33 +27,16 @@ func WriteSARIF(w io.Writer, findings []Finding, analyzers []*Analyzer, root str
 				uri = filepath.ToSlash(rel)
 			}
 		}
-		results = append(results, sarifResult{
+		results = append(results, sarif.Result{
 			RuleID:  f.Analyzer,
 			Level:   "error",
-			Message: sarifMessage{Text: f.Message},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysicalLocation{
-					ArtifactLocation: sarifArtifactLocation{URI: uri},
-					Region:           sarifRegion{StartLine: f.Line, StartColumn: f.Column},
-				},
-			}},
+			Message: f.Message,
+			URI:     uri,
+			Line:    f.Line,
+			Column:  f.Column,
 		})
 	}
-
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool: sarifTool{Driver: sarifDriver{
-				Name:  "dfvet",
-				Rules: rules,
-			}},
-			Results: results,
-		}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
+	return sarif.Write(w, "dfvet", rules, results)
 }
 
 func isParentRel(rel string) bool {

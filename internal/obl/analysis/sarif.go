@@ -1,73 +1,10 @@
 package analysis
 
 import (
-	"encoding/json"
 	"io"
+
+	"repro/internal/sarif"
 )
-
-// SARIF rendering (Static Analysis Results Interchange Format 2.1.0),
-// the minimal subset CI code-scanning consumers need: one run, one rule
-// per diagnostic code, one result per finding.
-
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri,omitempty"`
-	Rules          []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-	DefaultLevel     *sarifConfig `json:"defaultConfiguration,omitempty"`
-}
-
-type sarifConfig struct {
-	Level string `json:"level"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations,omitempty"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           *sarifRegion  `json:"region,omitempty"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
 
 func sarifLevel(s Severity) string {
 	switch s {
@@ -84,45 +21,28 @@ func sarifLevel(s Severity) string {
 // diagnostic code appears in the rule registry whether or not it fired, so
 // consumers can distinguish "checked and clean" from "not checked".
 func RenderSARIF(w io.Writer, diags []Diagnostic) error {
-	rules := make([]sarifRule, 0, len(Codes))
+	rules := make([]sarif.Rule, 0, len(Codes))
 	for _, ci := range Codes {
-		rules = append(rules, sarifRule{
-			ID:               ci.Code,
-			ShortDescription: sarifMessage{Text: ci.Summary},
-			DefaultLevel:     &sarifConfig{Level: sarifLevel(ci.Severity)},
-		})
+		rules = append(rules, sarif.Rule{ID: ci.Code, Summary: ci.Summary, Level: sarifLevel(ci.Severity)})
 	}
-	results := make([]sarifResult, 0, len(diags))
+	results := make([]sarif.Result, 0, len(diags))
 	for _, d := range diags {
 		msg := d.Message
 		if d.Policy != "" {
 			msg += " (policy " + d.Policy + ")"
 		}
-		res := sarifResult{
-			RuleID:  d.Code,
-			Level:   sarifLevel(d.Severity),
-			Message: sarifMessage{Text: msg},
-		}
 		uri := d.File
 		if uri == "" {
 			uri = "<source>"
 		}
-		loc := sarifLocation{PhysicalLocation: sarifPhysical{ArtifactLocation: sarifArtifact{URI: uri}}}
-		if d.Pos.Line > 0 {
-			loc.PhysicalLocation.Region = &sarifRegion{StartLine: d.Pos.Line, StartColumn: d.Pos.Col}
-		}
-		res.Locations = []sarifLocation{loc}
-		results = append(results, res)
+		results = append(results, sarif.Result{
+			RuleID:  d.Code,
+			Level:   sarifLevel(d.Severity),
+			Message: msg,
+			URI:     uri,
+			Line:    d.Pos.Line,
+			Column:  d.Pos.Col,
+		})
 	}
-	log := sarifLog{
-		Schema:  "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "oblc vet", Rules: rules}},
-			Results: results,
-		}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
+	return sarif.Write(w, "oblc vet", rules, results)
 }
